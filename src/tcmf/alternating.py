@@ -17,7 +17,6 @@ from .jimf import FactorEstimate, JimfRequest, solve
 from .metrics import recovery_errors
 from .model import GroundTruth, ObservationSet
 from .numerics import as_matrix, truncated_svd
-from .parallel import thread_map
 from .thresholding import LambdaSchedule, SparseEstimate, hard_threshold, next_lambda
 
 WARM_START_POLICIES = ("carry_forward", "fresh_spectral")
@@ -81,10 +80,7 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
             recon = est.reconstructions() if est is not None else [np.zeros_like(m) for m in mats]
-            s_mats = thread_map(
-                lambda pair: hard_threshold(pair[0] - pair[1], lam),
-                zip(mats, recon),
-            )
+            s_mats = [hard_threshold(m - r, lam) for m, r in zip(mats, recon)]
             s_hat = SparseEstimate.from_matrices(s_mats)
             cleaned = [m - s for m, s in zip(mats, s_mats)]
             warm = est if cfg.warm_start_policy == "carry_forward" else None

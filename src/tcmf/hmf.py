@@ -10,7 +10,9 @@ Each iteration first corrects every source, replacing u_l[i] by its component
 orthogonal to u_g and compensating v_g[i] so the reconstruction is untouched,
 then takes one gradient step per block.  The shared factor moves as the
 average of the per-source updated copies, accumulated in ascending source
-order so results do not depend on thread count.
+order.  The solver keeps the sources as stacked arrays (N, n1, w), w the
+widest source, with narrower sources zero-padded: padded columns of the data
+and padded rows of v_g, v_l start at zero and their gradients stay zero.
 """
 
 from dataclasses import dataclass, replace
@@ -20,7 +22,6 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError, SingularityError
 from .jimf import FactorEstimate, JimfRequest, spectral_init
 from .numerics import as_matrix
-from .parallel import thread_map
 
 RANK_RTOL = 1e-12
 EARLY_STOP_TOL = 1e-12
@@ -97,11 +98,12 @@ def _check_full_rank(u_g: np.ndarray):
 
 def _correct_arrays(u_g, v_g, u_l, v_l):
     # returns (u_l_new, v_g_new); exact identity u_g v_g'^T + u_l' v_l^T ==
-    # u_g v_g^T + u_l v_l^T by construction
-    if u_g.shape[1] == 0 or u_l.shape[1] == 0:
+    # u_g v_g^T + u_l v_l^T by construction.  v_g, u_l, v_l may be stacks
+    # (N, ., .) sharing the 2-D u_g.
+    if u_g.shape[1] == 0 or u_l.shape[-1] == 0:
         return u_l, v_g
     g = np.linalg.solve(u_g.T @ u_g, u_g.T @ u_l)
-    return u_l - u_g @ g, v_g + v_l @ g.T
+    return u_l - u_g @ g, v_g + v_l @ g.swapaxes(-1, -2)
 
 
 def hmf_correct(est: FactorEstimate, source_index: int) -> FactorEstimate:
@@ -129,14 +131,22 @@ def hmf_solve(req: JimfRequest, params: HmfParams, objective_out: list | None = 
     """
     mats = [as_matrix(m) for m in req.matrices]
     start = req.warm_start if req.warm_start is not None else spectral_init(mats, req.r1, req.r2)
-    u_g = start.u_g.copy()
-    v_g = [v.copy() for v in start.v_g]
-    u_l = [u.copy() for u in start.u_l]
-    v_l = [v.copy() for v in start.v_l]
     n = len(mats)
+    widths = [m.shape[1] for m in mats]
+    w = max(widths)
+    m_all = np.zeros((n, mats[0].shape[0], w))
+    v_g = np.zeros((n, w, req.r1))
+    v_l = np.zeros((n, w, req.r2))
+    for i, width in enumerate(widths):
+        m_all[i, :, :width] = mats[i]
+        v_g[i, :width] = start.v_g[i]
+        v_l[i, :width] = start.v_l[i]
+    u_g = start.u_g.copy()
+    u_l = np.stack(start.u_l)
     eta = params.step_size
     beta = params.beta
     eye_g = np.eye(req.r1)
+    eye_l = np.eye(req.r2)
     trace = [] if objective_out is None else objective_out
     rises = 0
     flats = 0
@@ -156,28 +166,25 @@ def hmf_solve(req: JimfRequest, params: HmfParams, objective_out: list | None = 
         reg_g_val = 0.5 * beta * _frob_sq(gram_g - eye_g)
         reg_g_grad = 2.0 * beta * (u_g @ (gram_g - eye_g))
 
-        def advance(i):
-            ul, vg = _correct_arrays(u_g, v_g[i], u_l[i], v_l[i])
-            vl = v_l[i]
-            e = u_g @ vg.T + ul @ vl.T - mats[i]
-            gram_l = ul.T @ ul - np.eye(ul.shape[1])
-            obj_i = 0.5 * _frob_sq(e) + reg_g_val + 0.5 * beta * _frob_sq(gram_l)
-            cand = u_g - eta * (e @ vg + reg_g_grad)
-            vg_new = vg - eta * (e.T @ u_g)
-            ul_new = ul - eta * (e @ vl + 2.0 * beta * (ul @ gram_l))
-            vl_new = vl - eta * (e.T @ ul)
-            return cand, vg_new, ul_new, vl_new, obj_i
-
-        results = thread_map(advance, range(n))
-        acc = np.zeros_like(u_g)
-        obj = 0.0
-        for i, (cand, vg_new, ul_new, vl_new, obj_i) in enumerate(results):
-            acc += cand
-            obj += obj_i
-            v_g[i] = vg_new
-            u_l[i] = ul_new
-            v_l[i] = vl_new
-        u_g = acc / n
+        u_l, v_g = _correct_arrays(u_g, v_g, u_l, v_l)
+        e = u_g @ v_g.swapaxes(-1, -2)
+        e += u_l @ v_l.swapaxes(-1, -2)
+        e -= m_all
+        gram_l = u_l.swapaxes(-1, -2) @ u_l - eye_l
+        # per-source objectives, then summed in source order
+        objs = (
+            0.5 * np.sum(e * e, axis=(1, 2))
+            + reg_g_val
+            + 0.5 * beta * np.sum(gram_l * gram_l, axis=(1, 2))
+        )
+        obj = sum(objs.tolist())
+        cand = u_g - eta * (e @ v_g + reg_g_grad)
+        v_g = v_g - eta * (e.swapaxes(-1, -2) @ u_g)
+        u_l, v_l = (
+            u_l - eta * (e @ v_l + 2.0 * beta * (u_l @ gram_l)),
+            v_l - eta * (e.swapaxes(-1, -2) @ u_l),
+        )
+        u_g = cand.sum(axis=0) / n
 
         if not np.isfinite(obj):
             trace.append(obj)
@@ -201,6 +208,10 @@ def hmf_solve(req: JimfRequest, params: HmfParams, objective_out: list | None = 
             break
 
     _check_full_rank(u_g)
-    for i in range(n):
-        u_l[i], v_g[i] = _correct_arrays(u_g, v_g[i], u_l[i], v_l[i])
-    return FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)
+    u_l, v_g = _correct_arrays(u_g, v_g, u_l, v_l)
+    return FactorEstimate(
+        u_g=u_g,
+        v_g=[v_g[i, :width] for i, width in enumerate(widths)],
+        u_l=list(u_l),
+        v_l=[v_l[i, :width] for i, width in enumerate(widths)],
+    )

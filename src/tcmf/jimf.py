@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, SingularityError
-from .numerics import as_matrix, linf, truncated_svd
+from .numerics import as_matrix, linf, sign_fixed_qr, truncated_svd
 
 CROSS_ORTHO_TOL = 1e-8
 INIT_RANK_TOL = 1e-12
@@ -153,12 +153,7 @@ def renormalize(est: FactorEstimate) -> FactorEstimate:
     Steps: QR on u_g (v_g absorbs the triangular factor), exact deflation of
     u_l against u_g with the matching v_g compensation, then QR on u_l.
     """
-    u_g = est.u_g
-    q_g, r_g = np.linalg.qr(u_g)
-    d = np.sign(np.diag(r_g))
-    d[d == 0] = 1.0
-    q_g = q_g * d
-    r_g = r_g * d[:, None]
+    q_g, r_g = sign_fixed_qr(est.u_g)
     v_g = [v @ r_g.T for v in est.v_g]
     u_l, v_l = [], []
     for i in range(est.n_sources):
@@ -166,11 +161,9 @@ def renormalize(est: FactorEstimate) -> FactorEstimate:
         g = q_g.T @ ul_old
         ul = ul_old - q_g @ g
         v_g[i] = v_g[i] + est.v_l[i] @ g.T
-        q_l, r_l = np.linalg.qr(ul)
-        dl = np.sign(np.diag(r_l))
-        dl[dl == 0] = 1.0
-        u_l.append(q_l * dl)
-        v_l.append(est.v_l[i] @ (r_l * dl[:, None]).T)
+        q_l, r_l = sign_fixed_qr(ul)
+        u_l.append(q_l)
+        v_l.append(est.v_l[i] @ r_l.T)
     return FactorEstimate(u_g=q_g, v_g=v_g, u_l=u_l, v_l=v_l)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, DimensionError
-from .numerics import as_matrix, linf, projection_onto, truncated_svd
+from .numerics import as_matrix, linf, projection_onto, sign_fixed_qr, truncated_svd
 
 INCOHERENCE_ORTHO_TOL = 1e-8
 SIGMA_NONZERO_RTOL = 1e-12
@@ -107,13 +107,6 @@ class IdentifiabilityReport:
     sigma_min: float
 
 
-def _orthonormal(a: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(a)
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return q * d
-
-
 def generate(cfg: SynthConfig) -> GroundTruth:
     """Draw a ground truth instance.
 
@@ -125,12 +118,12 @@ def generate(cfg: SynthConfig) -> GroundTruth:
     bit for bit.
     """
     rng = np.random.default_rng(cfg.seed)
-    u_g = _orthonormal(rng.standard_normal((cfg.n1, cfg.r1)))
+    u_g = sign_fixed_qr(rng.standard_normal((cfg.n1, cfg.r1)))[0]
     v_g, u_l, v_l, s = [], [], [], []
     for _ in range(cfg.n_sources):
         raw = rng.standard_normal((cfg.n1, cfg.r2))
-        deflated = _orthonormal(raw - u_g @ (u_g.T @ raw))
-        deflated = _orthonormal(deflated - u_g @ (u_g.T @ deflated))
+        deflated = sign_fixed_qr(raw - u_g @ (u_g.T @ raw))[0]
+        deflated = sign_fixed_qr(deflated - u_g @ (u_g.T @ deflated))[0]
         u_l.append(deflated)
         v_g.append(rng.standard_normal((cfg.n2, cfg.r1)))
         v_l.append(rng.standard_normal((cfg.n2, cfg.r2)))

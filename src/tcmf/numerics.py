@@ -1,7 +1,8 @@
 """Dense linear-algebra primitives the rest of the package builds on.
 
-Everything operates on finite float64 2-D arrays.  numpy is the only
-backend; callers never reach into LAPACK directly.
+Everything operates on finite float64 2-D arrays, or on stacks of them
+(..., n, r) where a docstring says so.  numpy is the only backend; callers
+never reach into LAPACK directly.
 """
 
 from dataclasses import dataclass
@@ -16,13 +17,22 @@ SYM_TOL = 1e-10
 PSD_MIN_EIG = 1e-12
 
 
-def as_matrix(a) -> np.ndarray:
-    """Return `a` as a float64 2-D array, rejecting NaN and Inf entries."""
+def as_stack(a) -> np.ndarray:
+    """Return `a` as a float64 array of one or more matrices (ndim >= 2,
+    matrix axes last), rejecting NaN and Inf entries."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D array, got ndim={m.ndim}")
+    if m.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
     if m.size and not np.isfinite(m).all():
         raise ContractViolationError("matrix contains NaN or Inf entries")
+    return m
+
+
+def as_matrix(a) -> np.ndarray:
+    """Return `a` as a float64 2-D array, rejecting NaN and Inf entries."""
+    m = as_stack(a)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a 2-D array, got ndim={m.ndim}")
     return m
 
 
@@ -88,6 +98,16 @@ def truncated_svd(m, k: int) -> ThinSVD:
     return ThinSVD(u=u, sigma=s, v=v)
 
 
+def sign_fixed_qr(a) -> tuple:
+    """Thin QR of a 2-D array with the diagonal of r made nonnegative, so the
+    factors are unique for full column rank input: returns (q, r) with
+    q r == a and q orthonormal."""
+    q, r = np.linalg.qr(a)
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    return q * d, r * d[:, None]
+
+
 def projection_onto(u) -> np.ndarray:
     """Orthogonal projector onto the column space of full-column-rank u."""
     u = as_matrix(u)
@@ -102,17 +122,19 @@ def projection_onto(u) -> np.ndarray:
 
 
 def inv_sqrt_psd(a) -> np.ndarray:
-    """Inverse principal square root of a symmetric positive-definite matrix."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError("inv_sqrt_psd needs a square matrix")
-    if a.shape[0] == 0:
+    """Inverse principal square root of a symmetric positive-definite matrix,
+    or of every matrix in a stack (..., n, n); every slice must pass the
+    symmetry and definiteness checks."""
+    a = as_stack(a)
+    if a.shape[-2] != a.shape[-1]:
+        raise DimensionError("inv_sqrt_psd needs square matrices")
+    if a.shape[-1] == 0:
         return a.copy()
-    if linf(a - a.T) >= SYM_TOL:
+    if linf(a - a.swapaxes(-1, -2)) >= SYM_TOL:
         raise ContractViolationError("matrix is not symmetric")
-    sym = (a + a.T) / 2.0  # kill round-off asymmetry before eigh
+    sym = (a + a.swapaxes(-1, -2)) / 2.0  # kill round-off asymmetry before eigh
     w, q = np.linalg.eigh(sym)
-    if w[0] <= PSD_MIN_EIG:
+    if np.any(w[..., 0] <= PSD_MIN_EIG):
         raise SingularityError("matrix is not positive definite")
-    b = (q / np.sqrt(w)) @ q.T
-    return (b + b.T) / 2.0
+    b = (q / np.sqrt(w)[..., None, :]) @ q.swapaxes(-1, -2)
+    return (b + b.swapaxes(-1, -2)) / 2.0

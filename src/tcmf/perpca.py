@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError, SingularityError
 from .jimf import FactorEstimate, JimfRequest, spectral_init
-from .numerics import as_matrix, inv_sqrt_psd
-from .parallel import thread_map
+from .numerics import as_matrix, as_stack, inv_sqrt_psd, sign_fixed_qr
 
 POWER_ITERATIONS = 20
 
@@ -38,14 +37,18 @@ class PerpcaParams:
 
 def generalized_retraction(u, v) -> np.ndarray:
     """Map the displaced basis u + v back onto the Stiefel manifold:
-    (u + v) ((u + v)^T (u + v))^{-1/2}."""
-    u = as_matrix(u)
-    v = as_matrix(v)
+    (u + v) ((u + v)^T (u + v))^{-1/2}.  u and v may be stacks (..., n, r);
+    each slice is retracted on its own."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of matrices, got ndim={u.ndim}")
     if u.shape != v.shape:
         raise DimensionError("u and v must have the same shape")
     w = u + v
     try:
-        b = inv_sqrt_psd(w.T @ w)
+        # NaN or Inf in w reaches the Gram diagonal, where inv_sqrt_psd rejects it
+        b = inv_sqrt_psd(w.swapaxes(-1, -2) @ w)
     except SingularityError as err:
         raise SingularityError("u + v is rank deficient; retraction undefined") from err
     return w @ b
@@ -55,13 +58,20 @@ def perpca_gradient(u_g, u_l, s) -> np.ndarray:
     """Projected covariance directions (I - u_g u_g^T - u_l u_l^T) S [u_g u_l].
 
     Assumes u_g and u_l are orthonormal and mutually orthogonal; the first
-    r1 columns drive the shared basis, the rest the local one.
+    r1 columns drive the shared basis, the rest the local one.  Any argument
+    may be a stack (..., n, r); leading axes broadcast.
     """
-    u_g = as_matrix(u_g)
-    u_l = as_matrix(u_l)
-    s = as_matrix(s)
-    stacked = s @ np.hstack((u_g, u_l))
-    return stacked - u_g @ (u_g.T @ stacked) - u_l @ (u_l.T @ stacked)
+    u_g = as_stack(u_g)
+    u_l = as_stack(u_l)
+    s = as_stack(s)
+    lead = np.broadcast_shapes(u_g.shape[:-2], u_l.shape[:-2], s.shape[:-2])
+    joint = np.concatenate(
+        (np.broadcast_to(u_g, lead + u_g.shape[-2:]), np.broadcast_to(u_l, lead + u_l.shape[-2:])),
+        axis=-1,
+    )
+    stacked = s @ joint
+    shared = u_g @ (u_g.swapaxes(-1, -2) @ stacked)
+    return stacked - shared - u_l @ (u_l.swapaxes(-1, -2) @ stacked)
 
 
 def _lambda_max(c: np.ndarray) -> float:
@@ -77,13 +87,6 @@ def _lambda_max(c: np.ndarray) -> float:
             return 0.0
         v = w / norm
     return float(v @ (c @ v))
-
-
-def _orthonormal(a: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(a)
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return q * d
 
 
 def perpca_solve(
@@ -105,41 +108,26 @@ def perpca_solve(
     mats = [as_matrix(m) for m in req.matrices]
     start = req.warm_start if req.warm_start is not None else spectral_init(mats, req.r1, req.r2)
     # warm starts from other backends are only near-orthonormal
-    u_g = _orthonormal(start.u_g)
-    u_l = [_orthonormal(ul - u_g @ (u_g.T @ ul)) for ul in start.u_l]
+    u_g = sign_fixed_qr(start.u_g)[0]
+    u_l = np.stack([sign_fixed_qr(ul - u_g @ (u_g.T @ ul))[0] for ul in start.u_l])
     n = len(mats)
     r1 = req.r1
-    covs = [m @ m.T for m in mats]
-    scale = max((_lambda_max(c) for c in covs), default=0.0)
+    covs = np.stack([m @ m.T for m in mats])
+    scale = max(_lambda_max(c) for c in covs)
     eta = params.step_size / scale if scale > 0.0 else 0.0
     eye_n = np.eye(u_g.shape[0])
     trace = []
     rises = 0
 
     for tau in range(params.iterations):
+        grad = perpca_gradient(u_g, u_l, covs)
+        cand = u_g + eta * grad[..., :r1]
+        u_l = generalized_retraction(u_l, eta * grad[..., r1:])
+        u_g = generalized_retraction(u_g, cand.sum(axis=0) / n - u_g)
+        u_l = generalized_retraction(u_l, -u_g @ (u_g.T @ u_l))
 
-        def advance(i):
-            grad = perpca_gradient(u_g, u_l[i], covs[i])
-            cand = u_g + eta * grad[:, :r1]
-            ul_new = generalized_retraction(u_l[i], eta * grad[:, r1:])
-            return cand, ul_new
-
-        results = thread_map(advance, range(n))
-        acc = np.zeros_like(u_g)
-        for i, (cand, ul_new) in enumerate(results):
-            acc += cand
-            u_l[i] = ul_new
-        u_g = generalized_retraction(u_g, acc / n - u_g)
-
-        def correct(i):
-            return generalized_retraction(u_l[i], -u_g @ (u_g.T @ u_l[i]))
-
-        u_l = list(thread_map(correct, range(n)))
-
-        obj = 0.0
-        for i in range(n):
-            k = eye_n - u_g @ u_g.T - u_l[i] @ u_l[i].T
-            obj += float(np.trace(k @ covs[i] @ k))
+        k = eye_n - u_g @ u_g.T - u_l @ u_l.swapaxes(-1, -2)
+        obj = sum(np.trace(k @ covs @ k, axis1=-2, axis2=-1).tolist())
         if not np.isfinite(obj):
             trace.append(obj)
             raise DivergenceError("objective overflowed", objective_trace=trace)
@@ -157,7 +145,7 @@ def perpca_solve(
         if callback is not None:
             callback(tau + 1, u_g, list(u_l))
 
-    u_l = [_orthonormal(ul - u_g @ (u_g.T @ ul)) for ul in u_l]
+    u_l = [sign_fixed_qr(ul - u_g @ (u_g.T @ ul))[0] for ul in u_l]
     v_g = [m.T @ u_g for m in mats]
     v_l = [m.T @ ul for m, ul in zip(mats, u_l)]
     return FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)

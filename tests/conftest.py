@@ -19,7 +19,8 @@ class TinyInstance:
 
     All nonzero singular values equal `scale`, so gradient descent contracts
     every mode at the same rate and both backends hit machine precision well
-    inside the documented iteration budgets.
+    inside the documented iteration budgets.  n2 is one width for every
+    source or a sequence of per-source widths (n is then its length).
     """
 
     def __init__(self, seed=3, n=3, n1=10, n2=20, r1=2, r2=2, scale=3.0):
@@ -31,11 +32,12 @@ class TinyInstance:
         self.u_l = []
         self.v_l = []
         self.mats = []
-        for _ in range(n):
+        widths = [n2] * n if np.isscalar(n2) else list(n2)
+        for width in widths:
             ul = rng.standard_normal((n1, r2))
             ul = orth(ul - self.u_g @ (self.u_g.T @ ul))
             ul = orth(ul - self.u_g @ (self.u_g.T @ ul))
-            v_all = orth(rng.standard_normal((n2, r1 + r2))) * scale
+            v_all = orth(rng.standard_normal((width, r1 + r2))) * scale
             self.v_g.append(v_all[:, :r1].copy())
             self.v_l.append(v_all[:, r1:].copy())
             self.u_l.append(ul)
@@ -63,6 +65,11 @@ class TinyInstance:
 @pytest.fixture(scope="session")
 def tiny():
     return TinyInstance()
+
+
+@pytest.fixture(scope="session")
+def uneven():
+    return TinyInstance(seed=8, n1=12, n2=[30, 45, 20, 38])
 
 
 def random_estimate(rng, n1, n2_list, r1, r2) -> FactorEstimate:

@@ -197,3 +197,45 @@ def test_solve_early_stop_shortens_trace(tiny):
     hmf_solve(req, HmfParams(step_size=0.01, iterations=2000, beta=1e-5,
                              early_stop=True), objective_out=trace)
     assert len(trace) < 2000
+
+
+def reference_solve(mats, iterations, eta, beta):
+    """The per-source loop the batched solver replaced, built from the
+    public per-source correction and gradient."""
+    est = spectral_init(mats, 2, 2)
+    objectives = []
+    for _ in range(iterations):
+        for i in range(len(mats)):
+            est = hmf_correct(est, i)
+        objectives.append(hmf_objective(est, mats, beta))
+        acc = np.zeros_like(est.u_g)
+        v_g, u_l, v_l = [], [], []
+        for i, m in enumerate(mats):
+            g_u_g, g_v_g, g_u_l, g_v_l = hmf_gradients(est, i, m, beta)
+            acc += est.u_g - eta * g_u_g
+            v_g.append(est.v_g[i] - eta * g_v_g)
+            u_l.append(est.u_l[i] - eta * g_u_l)
+            v_l.append(est.v_l[i] - eta * g_v_l)
+        est = FactorEstimate(u_g=acc / len(mats), v_g=v_g, u_l=u_l, v_l=v_l)
+    for i in range(len(mats)):
+        est = hmf_correct(est, i)
+    return est, objectives
+
+
+@pytest.mark.parametrize("instance", ["tiny", "uneven"])
+def test_solve_matches_per_source_reference(request, instance):
+    mats = request.getfixturevalue(instance).mats
+    params = HmfParams(step_size=0.01, iterations=5, beta=1e-3)
+    trace = []
+    est = hmf_solve(JimfRequest(matrices=tuple(mats), r1=2, r2=2), params, objective_out=trace)
+    ref, ref_trace = reference_solve(mats, 5, params.step_size, params.beta)
+    # equal widths: the same arithmetic per source, so the same bits; the
+    # zero padding of narrower sources may regroup a BLAS sum
+    tol = 0.0 if instance == "tiny" else 1e-12
+    pairs = [(est.u_g, ref.u_g)]
+    for name in ("v_g", "u_l", "v_l"):
+        pairs += zip(getattr(est, name), getattr(ref, name))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert linf(got - want) <= tol * max(1.0, linf(want))
+    assert trace == pytest.approx(ref_trace, rel=1e-13)

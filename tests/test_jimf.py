@@ -56,18 +56,57 @@ def test_spectral_init_rejects_zero_matrices():
         spectral_init([np.zeros((5, 8)), np.zeros((5, 8))], 1, 1)
 
 
-@pytest.mark.parametrize("backend,params", [
-    ("hmf", HmfParams(step_size=0.01, iterations=2000, beta=1e-5)),
-    ("perpca", PerpcaParams(step_size=0.1, iterations=1500)),
+HMF_LONG = HmfParams(step_size=0.01, iterations=2000, beta=1e-5)
+PERPCA_LONG = PerpcaParams(step_size=0.1, iterations=1500)
+
+
+def assert_source_shapes(est, mats, r1, r2):
+    # every per-source factor has its own source's rows: padding is trimmed
+    assert est.u_g.shape == (mats[0].shape[0], r1)
+    for i, m in enumerate(mats):
+        assert est.v_g[i].shape == (m.shape[1], r1)
+        assert est.u_l[i].shape == (m.shape[0], r2)
+        assert est.v_l[i].shape == (m.shape[1], r2)
+
+
+@pytest.mark.parametrize("backend,params,instance", [
+    pytest.param("hmf", HMF_LONG, "tiny", id="hmf-params0"),
+    pytest.param("perpca", PERPCA_LONG, "tiny", id="perpca-params1"),
+    pytest.param("hmf", HMF_LONG, "uneven", id="hmf-uneven"),
+    pytest.param("perpca", PERPCA_LONG, "uneven", id="perpca-uneven"),
 ])
-def test_solve_recovers_noiseless_products(tiny, backend, params):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2,
+def test_solve_recovers_noiseless_products(request, backend, params, instance):
+    inst = request.getfixturevalue(instance)
+    req = JimfRequest(matrices=tuple(inst.mats), r1=2, r2=2,
                       backend=backend, backend_params=params)
     est = solve(req)
-    assert tiny.product_error(est) <= 1e-3
+    assert_source_shapes(est, inst.mats, 2, 2)
+    assert inst.product_error(est) <= 1e-3
     assert est.cross_orthogonality() <= 1e-8
     for rec in est.reconstructions():
         assert np.isfinite(rec).all()
+
+
+@pytest.mark.parametrize("backend,params", [("hmf", HMF_LONG), ("perpca", PERPCA_LONG)])
+@pytest.mark.parametrize("r1,r2", [(0, 2), (2, 0)])
+def test_solve_multi_source_rank_zero_edges(backend, params, r1, r2):
+    inst = TinyInstance(seed=9, n=4, n1=10, n2=[20, 26, 20, 17], r1=r1, r2=r2)
+    req = JimfRequest(matrices=tuple(inst.mats), r1=r1, r2=r2,
+                      backend=backend, backend_params=params)
+    est = solve(req)
+    assert_source_shapes(est, inst.mats, r1, r2)
+    assert inst.product_error(est) <= 1e-3
+    assert est.cross_orthogonality() <= 1e-8
+
+
+@pytest.mark.parametrize("backend,params", [("hmf", HMF_LONG), ("perpca", PERPCA_LONG)])
+def test_solve_rank_zero_gives_zero_reconstructions(backend, params):
+    rng = np.random.default_rng(31)
+    mats = tuple(rng.standard_normal((8, n2)) for n2 in (12, 9, 15))
+    est = solve(JimfRequest(matrices=mats, r1=0, r2=0, backend=backend, backend_params=params))
+    assert_source_shapes(est, mats, 0, 0)
+    for i, m in enumerate(mats):
+        assert np.array_equal(est.reconstruction(i), np.zeros_like(m))
 
 
 @pytest.mark.parametrize("backend,params", [

@@ -150,3 +150,35 @@ def test_inv_sqrt_psd_rejects_bad_input():
         inv_sqrt_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(SingularityError):
         inv_sqrt_psd(np.zeros((2, 2)))
+
+
+def spd_stack(rng, count, n):
+    a = rng.standard_normal((count, n, n))
+    return a.swapaxes(-1, -2) @ a + 0.1 * np.eye(n)
+
+
+def test_inv_sqrt_psd_stack_matches_slices_bitwise():
+    stack = spd_stack(np.random.default_rng(6), 5, 4)
+    out = inv_sqrt_psd(stack)
+    assert out.shape == stack.shape
+    for got, a in zip(out, stack):
+        assert np.array_equal(got, inv_sqrt_psd(a))
+
+
+def test_inv_sqrt_psd_stack_checks_every_slice():
+    rng = np.random.default_rng(7)
+    stack = spd_stack(rng, 4, 3)
+    singular = stack.copy()
+    singular[2] = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(SingularityError):
+        inv_sqrt_psd(singular)
+    asymmetric = stack.copy()
+    asymmetric[3, 0, 1] += 1e-3
+    with pytest.raises(ContractViolationError):
+        inv_sqrt_psd(asymmetric)
+    with pytest.raises(ContractViolationError):
+        inv_sqrt_psd(np.where(np.arange(4)[:, None, None] == 1, np.nan, stack))
+
+
+def test_inv_sqrt_psd_empty_stack_slices():
+    assert inv_sqrt_psd(np.zeros((3, 0, 0))).shape == (3, 0, 0)

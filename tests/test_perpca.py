@@ -9,8 +9,9 @@ from tcmf import (
     perpca_solve,
     spectral_init,
 )
-from tcmf.errors import ConfigurationError, DimensionError, SingularityError
+from tcmf.errors import ConfigurationError, ContractViolationError, DimensionError, SingularityError
 from tcmf.numerics import linf
+from tcmf.perpca import _lambda_max
 
 from conftest import orth
 
@@ -134,3 +135,65 @@ def test_solve_warm_start_from_hmf_factors(tiny):
                        warm_start=rough)
     est = perpca_solve(req2, PerpcaParams(step_size=0.1, iterations=500))
     assert tiny.product_error(est) <= 1e-3
+
+
+def test_retraction_stack_matches_slices_bitwise():
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((5, 8, 3))
+    v = rng.standard_normal((5, 8, 3))
+    out = generalized_retraction(u, v)
+    assert out.shape == u.shape
+    for i in range(5):
+        assert np.array_equal(out[i], generalized_retraction(u[i], v[i]))
+
+
+def test_retraction_stack_checks_every_slice():
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((4, 6, 2))
+    v = np.zeros_like(u)
+    v[1] = -u[1]  # u + v vanishes in one slice only
+    with pytest.raises(SingularityError):
+        generalized_retraction(u, v)
+    v = np.zeros_like(u)
+    v[3, 0, 0] = np.inf
+    with pytest.raises(ContractViolationError):
+        generalized_retraction(u, v)
+    with pytest.raises(DimensionError):
+        generalized_retraction(u, v[:3])
+
+
+def test_gradient_stack_matches_slices_bitwise(tiny):
+    est = tiny.exact_estimate()
+    rng = np.random.default_rng(6)
+    u_l = np.stack([orth(rng.standard_normal((10, 2))) for _ in range(3)])
+    covs = np.stack([m @ m.T for m in tiny.mats])
+    out = perpca_gradient(est.u_g, u_l, covs)
+    assert out.shape == (3, 10, 4)
+    for i in range(3):
+        assert np.array_equal(out[i], perpca_gradient(est.u_g, u_l[i], covs[i]))
+
+
+def test_solve_matches_per_source_reference(uneven):
+    # the loop over sources the solver replaced, built from the public
+    # per-source primitives; the arithmetic is the same, so bits must match
+    req = JimfRequest(matrices=tuple(uneven.mats), r1=2, r2=2, backend="perpca")
+    params = PerpcaParams(step_size=0.1, iterations=5)
+    seen = []
+    perpca_solve(req, params, callback=lambda tau, u_g, u_l: seen.append((u_g, u_l)))
+
+    start = spectral_init(uneven.mats, 2, 2)
+    u_g = orth(start.u_g)
+    u_l = [orth(ul - u_g @ (u_g.T @ ul)) for ul in start.u_l]
+    covs = [m @ m.T for m in uneven.mats]
+    eta = params.step_size / max(_lambda_max(c) for c in covs)
+    for got_g, got_l in seen:
+        acc = np.zeros_like(u_g)
+        for i, c in enumerate(covs):
+            grad = perpca_gradient(u_g, u_l[i], c)
+            acc += u_g + eta * grad[:, :2]
+            u_l[i] = generalized_retraction(u_l[i], eta * grad[:, 2:])
+        u_g = generalized_retraction(u_g, acc / len(covs) - u_g)
+        u_l = [generalized_retraction(ul, -u_g @ (u_g.T @ ul)) for ul in u_l]
+        assert np.array_equal(got_g, u_g)
+        for a, b in zip(got_l, u_l):
+            assert np.array_equal(a, b)
