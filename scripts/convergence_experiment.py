@@ -24,6 +24,7 @@ from tcmf import (
     run,
 )
 from tcmf.io import write_trace_csv
+from tcmf.jimf import BACKENDS
 from tcmf.thresholding import initial_lambda
 
 
@@ -67,7 +68,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument("--out", type=Path, default=Path("traces"))
-    ap.add_argument("--backend", choices=("hmf", "perpca"), default="hmf")
+    ap.add_argument("--backend", choices=BACKENDS, default="hmf")
     ap.add_argument("--sources", type=int, default=10)
     ap.add_argument("--n1", type=int, default=15)
     ap.add_argument("--n2", type=int, default=100)

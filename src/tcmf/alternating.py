@@ -8,7 +8,7 @@ Epoch t (estimates start at zero):
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -39,19 +39,19 @@ class TcmfConfig:
             raise ConfigurationError(f"warm_start_policy must be one of {WARM_START_POLICIES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EpochTrace:
     """Per-epoch record; the error fields stay None without ground truth."""
 
     epoch: int
     lam: float
-    linf_g: float | None
-    linf_l: float | None
-    linf_s: float | None
-    log_g: float | None
-    log_l: float | None
-    log_s: float | None
-    support_violations: int | None
+    linf_g: float | None = None
+    linf_l: float | None = None
+    linf_s: float | None = None
+    log_g: float | None = None
+    log_l: float | None = None
+    log_s: float | None = None
+    support_violations: int | None = None
     wall_ms: float
 
 
@@ -93,37 +93,11 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
             )
             est = solve(req)
             wall_ms = (time.perf_counter() - t0) * 1e3
+            errors = {}
             if gt is not None:
-                errs = recovery_errors(est, s_hat, gt)
-                traces.append(
-                    EpochTrace(
-                        epoch=epoch,
-                        lam=lam,
-                        linf_g=errs.linf_g,
-                        linf_l=errs.linf_l,
-                        linf_s=errs.linf_s,
-                        log_g=errs.log_g,
-                        log_l=errs.log_l,
-                        log_s=errs.log_s,
-                        support_violations=_support_violations(s_hat, gt),
-                        wall_ms=wall_ms,
-                    )
-                )
-            else:
-                traces.append(
-                    EpochTrace(
-                        epoch=epoch,
-                        lam=lam,
-                        linf_g=None,
-                        linf_l=None,
-                        linf_s=None,
-                        log_g=None,
-                        log_l=None,
-                        log_s=None,
-                        support_violations=None,
-                        wall_ms=wall_ms,
-                    )
-                )
+                errors = asdict(recovery_errors(est, s_hat, gt))
+                errors["support_violations"] = _support_violations(s_hat, gt)
+            traces.append(EpochTrace(epoch=epoch, lam=lam, wall_ms=wall_ms, **errors))
             lam = next_lambda(cfg.schedule, lam)
     except DivergenceError as err:
         err.epoch_traces = traces

@@ -4,8 +4,8 @@ Commands: synth (generate a dataset directory), run (factor a dataset and
 write the trace CSV), check (print identifiability diagnostics), metrics
 (recompute recovery errors from saved estimates).
 
-Exit codes: 0 success, 2 solver divergence, 64 bad configuration, 65 corrupt
-data, 66 missing inputs.
+Exit codes: 0 success, 2 solver divergence, 64 bad configuration or command
+line, 65 corrupt data, 66 missing inputs.
 """
 
 import argparse
@@ -55,13 +55,8 @@ def _check_data_matches_config(rc, obs):
             )
 
 
-def cli_run(config_path, data_dir, trace_out, seed: int | None = None) -> int:
-    """Factor the dataset under data_dir and write the epoch trace CSV.
-
-    seed is accepted for flag parity with synth but ignored: solving is
-    deterministic given the data and config.
-    """
-    del seed
+def cli_run(config_path, data_dir, trace_out) -> int:
+    """Factor the dataset under data_dir and write the epoch trace CSV."""
     rc = io.load_run_config(config_path)
     obs = io.load_observations(data_dir, rc.r1, rc.r2)
     _check_data_matches_config(rc, obs)
@@ -82,7 +77,8 @@ def cli_run(config_path, data_dir, trace_out, seed: int | None = None) -> int:
         est, s_hat, traces = run_outer(obs, cfg, gt)
     except DivergenceError as err:
         io.write_trace_csv(trace_out, err.epoch_traces)
-        print(f"diverged after {len(err.epoch_traces)} epochs; partial trace written", file=sys.stderr)
+        epoch = len(err.epoch_traces) + 1
+        print(f"diverged in epoch {epoch}: {err}; partial trace written", file=sys.stderr)
         return EXIT_DIVERGED
     io.write_trace_csv(trace_out, traces)
     io.save_estimates(data_dir, est, s_hat)
@@ -135,8 +131,15 @@ def cli_metrics(data_dir, out_path=None) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code reserved for divergence
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tcmf",
         description="Recover shared low-rank, per-source low-rank and sparse components.",
     )
@@ -151,7 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("check", help="print identifiability diagnostics")
     p.add_argument("--data", required=True)
@@ -169,7 +171,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cli_synth(args.config, args.out, seed=args.seed)
         if args.command == "run":
-            return cli_run(args.config, args.data, args.out, seed=args.seed)
+            return cli_run(args.config, args.data, args.out)
         if args.command == "check":
             return cli_check(args.data)
         return cli_metrics(args.data, out_path=args.out)

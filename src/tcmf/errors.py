@@ -30,7 +30,8 @@ class MissingInputError(TcmfError, FileNotFoundError):
 
 
 class DivergenceError(TcmfError, RuntimeError):
-    """Inner solver objective rose for too many consecutive iterations.
+    """Inner solver objective overflowed or rose for too many consecutive
+    iterations (see jimf.ObjectiveTrace).
 
     Carries the objective trace up to the failure and, when raised from the
     outer loop, the per-epoch traces completed so far.

@@ -19,13 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, SingularityError
-from .jimf import FactorEstimate, JimfRequest, spectral_init
-from .numerics import as_matrix
-
-RANK_RTOL = 1e-12
-EARLY_STOP_TOL = 1e-12
-EARLY_STOP_WINDOW = 20
+from .errors import ConfigurationError, SingularityError
+from .jimf import FactorEstimate, JimfRequest, ObjectiveTrace, spectral_init
+from .numerics import RANK_RTOL, as_matrix
 
 
 @dataclass(frozen=True)
@@ -33,8 +29,6 @@ class HmfParams:
     step_size: float = 5e-3
     iterations: int = 500
     beta: float = 1e-5
-    divergence_window: int = 50
-    early_stop: bool = False
 
     def __post_init__(self):
         if self.step_size < 0.0:
@@ -43,8 +37,6 @@ class HmfParams:
             raise ConfigurationError("iterations must be nonnegative")
         if self.beta < 0.0:
             raise ConfigurationError("beta must be nonnegative")
-        if self.divergence_window < 1:
-            raise ConfigurationError("divergence_window must be positive")
 
 
 def _frob_sq(a) -> float:
@@ -123,9 +115,10 @@ def hmf_solve(req: JimfRequest, params: HmfParams, objective_out: list | None = 
     """Run the correct-then-step loop for params.iterations rounds.
 
     Starts from req.warm_start when given, otherwise from spectral_init.
-    Records the objective once per iteration (appended to objective_out when
-    provided) and raises DivergenceError, trace attached, after
-    params.divergence_window consecutive rises.  Ends with one extra
+    Records the objective once per iteration through ObjectiveTrace
+    (appended to objective_out when provided), which raises DivergenceError
+    under the shared rule; a shared factor that loses rank after runaway
+    objective growth raises DivergenceError as well.  Ends with one extra
     correction pass so the returned estimate satisfies the orthogonality
     contract.
     """
@@ -147,20 +140,16 @@ def hmf_solve(req: JimfRequest, params: HmfParams, objective_out: list | None = 
     beta = params.beta
     eye_g = np.eye(req.r1)
     eye_l = np.eye(req.r2)
-    trace = [] if objective_out is None else objective_out
-    rises = 0
-    flats = 0
+    trace = ObjectiveTrace(objective_out)
 
     for _ in range(params.iterations):
         try:
             _check_full_rank(u_g)
         except SingularityError:
             # rank collapse after runaway growth is divergence, not bad input
-            if trace and trace[-1] > 1e6 * max(trace[0], 1e-300):
-                raise DivergenceError(
-                    "shared factor collapsed while the objective grew",
-                    objective_trace=trace,
-                )
+            values = trace.values
+            if values and values[-1] > 1e6 * max(values[0], 1e-300):
+                trace.fail("shared factor collapsed while the objective grew")
             raise
         gram_g = u_g.T @ u_g
         reg_g_val = 0.5 * beta * _frob_sq(gram_g - eye_g)
@@ -185,27 +174,7 @@ def hmf_solve(req: JimfRequest, params: HmfParams, objective_out: list | None = 
             v_l - eta * (e.swapaxes(-1, -2) @ u_l),
         )
         u_g = cand.sum(axis=0) / n
-
-        if not np.isfinite(obj):
-            trace.append(obj)
-            raise DivergenceError("objective overflowed", objective_trace=trace)
-        if trace and obj > trace[-1]:
-            rises += 1
-            if rises >= params.divergence_window:
-                trace.append(obj)
-                raise DivergenceError(
-                    f"objective rose for {rises} consecutive iterations",
-                    objective_trace=trace,
-                )
-        else:
-            rises = 0
-        if params.early_stop and trace and abs(obj - trace[-1]) < EARLY_STOP_TOL:
-            flats += 1
-        else:
-            flats = 0
-        trace.append(obj)
-        if params.early_stop and flats >= EARLY_STOP_WINDOW:
-            break
+        trace.record(obj)
 
     _check_full_rank(u_g)
     u_l, v_g = _correct_arrays(u_g, v_g, u_l, v_l)

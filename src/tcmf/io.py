@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .alternating import WARM_START_POLICIES
 from .errors import ConfigurationError, CorruptDataError, MissingInputError
 from .hmf import HmfParams
-from .jimf import FactorEstimate, JimfRequest
+from .jimf import BACKENDS, FactorEstimate, JimfRequest
 from .model import GroundTruth, IdentifiabilityReport, ObservationSet, SynthConfig
 from .numerics import as_matrix
 from .perpca import PerpcaParams
-from .thresholding import LambdaSchedule, SparseEstimate
+from .thresholding import LAMBDA1_MODES, LambdaSchedule, SparseEstimate
 
 MAGIC = b"TCMFMAT1"
 _HEADER = struct.Struct("<8sQQ")
@@ -74,11 +75,6 @@ def read_matrix(path) -> np.ndarray:
     return m
 
 
-LAMBDA1_MODES = ("theoretical", "data_driven")
-BACKENDS = ("hmf", "perpca")
-WARM_STARTS = ("carry_forward", "fresh_spectral")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Flat key=value run description covering synthesis and solving."""
@@ -107,7 +103,7 @@ _FLOAT_KEYS = ("noise_prob", "noise_magnitude", "rho", "epsilon", "step_size", "
 _CHOICE_KEYS = {
     "lambda1_mode": LAMBDA1_MODES,
     "backend": BACKENDS,
-    "warm_start": WARM_STARTS,
+    "warm_start": WARM_START_POLICIES,
 }
 ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + tuple(_CHOICE_KEYS)
 

@@ -10,11 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, SingularityError
+from .errors import ConfigurationError, DimensionError, DivergenceError, SingularityError
 from .numerics import as_matrix, linf, sign_fixed_qr, truncated_svd
 
 CROSS_ORTHO_TOL = 1e-8
 INIT_RANK_TOL = 1e-12
+DIVERGENCE_WINDOW = 50
 
 BACKENDS = ("hmf", "perpca")
 
@@ -87,6 +88,39 @@ class KktResidualReport:
         return max(self.r_vg, self.r_vl, self.r_ug, self.r_ul, self.r_orth)
 
 
+class ObjectiveTrace:
+    """Per-iteration objective record with the divergence rule both backends
+    share.
+
+    record(obj) appends to values (the caller's list when given) and raises
+    DivergenceError, this trace attached, when obj is not finite or when the
+    objective has risen for DIVERGENCE_WINDOW consecutive iterations.
+    """
+
+    def __init__(self, values: list | None = None):
+        self.values = [] if values is None else values
+        self._rises = 0
+
+    def record(self, obj: float):
+        if not np.isfinite(obj):
+            self.values.append(obj)
+            self.fail("objective overflowed")
+        if self.values and obj > self.values[-1]:
+            self._rises += 1
+        else:
+            self._rises = 0
+        self.values.append(obj)
+        if self._rises >= DIVERGENCE_WINDOW:
+            self.fail(f"objective rose for {self._rises} consecutive iterations")
+
+    def fail(self, reason: str):
+        """Raise DivergenceError for reason, naming the inner iteration."""
+        raise DivergenceError(
+            f"{reason} at inner iteration {len(self.values)}",
+            objective_trace=self.values,
+        )
+
+
 def spectral_init(matrices, r1: int, r2: int) -> FactorEstimate:
     """Initialize factors from the data spectrum.
 
@@ -114,10 +148,11 @@ def spectral_init(matrices, r1: int, r2: int) -> FactorEstimate:
 
 
 def solve(req: JimfRequest) -> FactorEstimate:
-    """Run the requested backend to epsilon-optimality.
+    """Run the requested backend for its configured iteration budget.
 
-    Raises DivergenceError (with the objective trace attached) if the
-    backend's objective rises for too many consecutive iterations.
+    req.epsilon is not read: neither backend has a stopping tolerance.
+    Raises DivergenceError (with the objective trace attached) under the
+    ObjectiveTrace rule.
     """
     if req.backend == "hmf":
         from .hmf import HmfParams, hmf_solve

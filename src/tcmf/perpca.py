@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DivergenceError, SingularityError
-from .jimf import FactorEstimate, JimfRequest, spectral_init
+from .errors import ConfigurationError, DimensionError, SingularityError
+from .jimf import FactorEstimate, JimfRequest, ObjectiveTrace, spectral_init
 from .numerics import as_matrix, as_stack, inv_sqrt_psd, sign_fixed_qr
 
 POWER_ITERATIONS = 20
@@ -89,21 +89,18 @@ def _lambda_max(c: np.ndarray) -> float:
     return float(v @ (c @ v))
 
 
-def perpca_solve(
-    req: JimfRequest,
-    params: PerpcaParams,
-    callback=None,
-    divergence_window: int = 50,
-) -> FactorEstimate:
+def perpca_solve(req: JimfRequest, params: PerpcaParams, callback=None) -> FactorEstimate:
     """Run the retraction loop for params.iterations rounds.
 
     The step size is params.step_size divided by the largest covariance
     eigenvalue across sources (estimated by power iteration), so the default
-    works across data scales.  callback(tau, u_g, u_l_list), when given, is
-    invoked after every iteration, at which point all bases are orthonormal
-    and the local ones are orthogonal to the shared one.  Ends with an exact
-    deflation plus QR pass on each local basis before the coefficients are
-    read off.
+    works across data scales.  The objective, the variance left outside the
+    fitted bases, is recorded through ObjectiveTrace, which raises
+    DivergenceError under the shared rule.  callback(tau, u_g, u_l_list),
+    when given, is invoked after every iteration, at which point all bases
+    are orthonormal and the local ones are orthogonal to the shared one.
+    Ends with an exact deflation plus QR pass on each local basis before the
+    coefficients are read off.
     """
     mats = [as_matrix(m) for m in req.matrices]
     start = req.warm_start if req.warm_start is not None else spectral_init(mats, req.r1, req.r2)
@@ -116,8 +113,7 @@ def perpca_solve(
     scale = max(_lambda_max(c) for c in covs)
     eta = params.step_size / scale if scale > 0.0 else 0.0
     eye_n = np.eye(u_g.shape[0])
-    trace = []
-    rises = 0
+    trace = ObjectiveTrace()
 
     for tau in range(params.iterations):
         grad = perpca_gradient(u_g, u_l, covs)
@@ -127,21 +123,7 @@ def perpca_solve(
         u_l = generalized_retraction(u_l, -u_g @ (u_g.T @ u_l))
 
         k = eye_n - u_g @ u_g.T - u_l @ u_l.swapaxes(-1, -2)
-        obj = sum(np.trace(k @ covs @ k, axis1=-2, axis2=-1).tolist())
-        if not np.isfinite(obj):
-            trace.append(obj)
-            raise DivergenceError("objective overflowed", objective_trace=trace)
-        if trace and obj > trace[-1]:
-            rises += 1
-            if rises >= divergence_window:
-                trace.append(obj)
-                raise DivergenceError(
-                    f"objective rose for {rises} consecutive iterations",
-                    objective_trace=trace,
-                )
-        else:
-            rises = 0
-        trace.append(obj)
+        trace.record(sum(np.trace(k @ covs @ k, axis1=-2, axis2=-1).tolist()))
         if callback is not None:
             callback(tau + 1, u_g, list(u_l))
 

@@ -60,6 +60,9 @@ def next_lambda(schedule: LambdaSchedule, lambda_t: float) -> float:
     return schedule.rho * lambda_t + schedule.epsilon
 
 
+LAMBDA1_MODES = ("theoretical", "data_driven")
+
+
 def initial_lambda(obs: ObservationSet, mode: str, report: IdentifiabilityReport | None = None) -> float:
     """Pick lambda_1.
 

@@ -103,8 +103,7 @@ def test_run_fresh_spectral_policy(tiny):
 def test_run_divergence_attaches_partial_traces(tiny):
     obs = ObservationSet(matrices=tuple(tiny.mats), r1=2, r2=2)
     cfg = tiny_cfg(initial_lambda(obs, "data_driven"), epochs=4,
-                   params=HmfParams(step_size=80.0, iterations=300, beta=1e-5,
-                                    divergence_window=10))
+                   params=HmfParams(step_size=80.0, iterations=300, beta=1e-5))
     with pytest.raises(DivergenceError) as info:
         run(obs, cfg)
     assert isinstance(info.value.epoch_traces, list)

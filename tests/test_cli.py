@@ -179,7 +179,7 @@ class TestRun:
         assert not trace.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_divergent_step_size_exits_2_with_partial_trace(self, tmp_path):
+    def test_divergent_step_size_exits_2_with_partial_trace(self, tmp_path, capsys):
         cfg, out = synth(tmp_path, lambda1_mode="data_driven",
                          step_size="50.0", inner_iterations="300")
         trace = tmp_path / "trace.csv"
@@ -189,6 +189,9 @@ class TestRun:
         rows = read_rows(trace)
         # blew up inside the first factorization call: header only
         assert rows == []
+        err = capsys.readouterr().err
+        assert "diverged in epoch 1:" in err
+        assert "at inner iteration" in err
 
 
 class TestFailureExitCodes:
@@ -223,8 +226,26 @@ class TestFailureExitCodes:
                      "--data", str(tmp_path), "--out", str(trace)]) == EXIT_MISSING
 
     def test_no_subcommand_is_a_usage_error(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             main([])
+        assert info.value.code == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--out", "t.csv", "--seed", "0"], ["--out", "t.csv", "--verbose"], []],
+        ids=["removed_seed_flag", "unknown_flag", "missing_required_flag"],
+    )
+    def test_bad_run_arguments_are_usage_errors(self, extra):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", "c.cfg", "--data", "data"] + extra)
+        # 2 would read as solver divergence
+        assert info.value.code == EXIT_BAD_CONFIG
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--help"])
+        assert info.value.code == EXIT_OK
+        assert "--config" in capsys.readouterr().out
 
 
 class TestCheck:

@@ -25,8 +25,6 @@ def test_params_validation():
         HmfParams(iterations=-1)
     with pytest.raises(ConfigurationError):
         HmfParams(beta=-1e-6)
-    with pytest.raises(ConfigurationError):
-        HmfParams(divergence_window=0)
 
 
 def test_objective_zero_at_exact_factors(tiny):
@@ -182,21 +180,24 @@ def test_solve_objective_nonincreasing(tiny):
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_solve_divergence_carries_trace(tiny):
+@pytest.mark.parametrize(
+    "step, reason, length",
+    [
+        (50.0, "objective overflowed", 11),
+        (0.25, "objective rose for 50 consecutive iterations", 51),
+        (1.0, "shared factor collapsed while the objective grew", 22),
+    ],
+    ids=["overflow", "rising", "collapse"],
+)
+def test_solve_divergence_carries_trace(tiny, step, reason, length):
     req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2, backend="hmf")
-    with pytest.raises(DivergenceError) as info:
-        hmf_solve(req, HmfParams(step_size=50.0, iterations=500, beta=1e-5,
-                                 divergence_window=10))
-    assert info.value.objective_trace is not None
-    assert len(info.value.objective_trace) >= 2
-
-
-def test_solve_early_stop_shortens_trace(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2, backend="hmf")
-    trace = []
-    hmf_solve(req, HmfParams(step_size=0.01, iterations=2000, beta=1e-5,
-                             early_stop=True), objective_out=trace)
-    assert len(trace) < 2000
+    out = []
+    with pytest.raises(DivergenceError, match=reason) as info:
+        hmf_solve(req, HmfParams(step_size=step, iterations=500, beta=1e-5), objective_out=out)
+    trace = info.value.objective_trace
+    assert trace == out
+    assert len(trace) == length
+    assert str(info.value).endswith(f" at inner iteration {len(trace)}")
 
 
 def reference_solve(mats, iterations, eta, beta):

@@ -13,7 +13,8 @@ from tcmf import (
     spectral_init,
     truncated_svd,
 )
-from tcmf.errors import ConfigurationError, SingularityError
+from tcmf.errors import ConfigurationError, DivergenceError, SingularityError
+from tcmf.jimf import DIVERGENCE_WINDOW, ObjectiveTrace
 from tcmf.numerics import linf
 
 from conftest import TinyInstance, orth, random_estimate
@@ -24,6 +25,34 @@ def test_request_validation():
         JimfRequest(epsilon=0.0)
     with pytest.raises(ConfigurationError):
         JimfRequest(backend="lobpcg")
+
+
+def test_objective_trace_divergence_rule():
+    out = []
+    trace = ObjectiveTrace(out)
+    # one rise short of the window, then a fall resets the count
+    for k in range(DIVERGENCE_WINDOW):
+        trace.record(float(k))
+    trace.record(0.5)
+    with pytest.raises(DivergenceError) as info:
+        for k in range(DIVERGENCE_WINDOW):
+            trace.record(1.5 + k)
+    length = 2 * DIVERGENCE_WINDOW + 1
+    assert len(out) == length
+    assert info.value.objective_trace == out
+    assert str(info.value) == (
+        f"objective rose for {DIVERGENCE_WINDOW} consecutive iterations at inner iteration {length}"
+    )
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_objective_trace_rejects_non_finite(bad):
+    trace = ObjectiveTrace()
+    trace.record(1.0)
+    with pytest.raises(DivergenceError, match="^objective overflowed at inner iteration 2$") as info:
+        trace.record(bad)
+    assert info.value.objective_trace[0] == 1.0
+    assert len(info.value.objective_trace) == 2
 
 
 def test_factor_estimate_shapes_and_products(tiny):
