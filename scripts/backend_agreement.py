@@ -57,16 +57,10 @@ def main():
     rng = np.random.default_rng(args.seed)
     mats = build_instance(rng, args.sources, args.n1, args.n2,
                           args.r1, args.r2, args.scale)
-    base = dict(matrices=tuple(mats), r1=args.r1, r2=args.r2, epsilon=1e-3)
+    req = JimfRequest(matrices=tuple(mats), r1=args.r1, r2=args.r2)
     solutions = {
-        "hmf": solve(JimfRequest(
-            backend="hmf",
-            backend_params=HmfParams(step_size=0.01, iterations=args.iterations, beta=1e-5),
-            **base)),
-        "perpca": solve(JimfRequest(
-            backend="perpca",
-            backend_params=PerpcaParams(step_size=0.1, iterations=args.iterations),
-            **base)),
+        "hmf": solve(req, HmfParams(step_size=0.01, iterations=args.iterations, beta=1e-5)),
+        "perpca": solve(req, PerpcaParams(step_size=0.1, iterations=args.iterations)),
     }
 
     gap = max(

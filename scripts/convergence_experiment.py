@@ -12,10 +12,7 @@ import math
 from pathlib import Path
 
 from tcmf import (
-    HmfParams,
-    JimfRequest,
     LambdaSchedule,
-    PerpcaParams,
     SynthConfig,
     TcmfConfig,
     assemble_observations,
@@ -23,15 +20,9 @@ from tcmf import (
     identifiability_report,
     run,
 )
-from tcmf.io import write_trace_csv
+from tcmf.io import backend_params, write_trace_csv
 from tcmf.jimf import BACKENDS
 from tcmf.thresholding import initial_lambda
-
-
-def backend_params(backend, step_size, iterations):
-    if backend == "hmf":
-        return HmfParams(step_size=step_size, iterations=iterations, beta=1e-5)
-    return PerpcaParams(step_size=step_size, iterations=iterations)
 
 
 def fit_slope(traces, field, lo, hi):
@@ -56,9 +47,7 @@ def one_seed(args, seed):
     tcfg = TcmfConfig(
         schedule=LambdaSchedule(lambda1=lam1, rho=args.rho, epsilon=1e-3),
         epochs=args.epochs,
-        jimf=JimfRequest(r1=args.r1, r2=args.r2, epsilon=1e-3, backend=args.backend,
-                         backend_params=backend_params(args.backend, args.step_size,
-                                                       args.inner_iterations)),
+        params=backend_params(args.backend, args.step_size, args.inner_iterations, beta=1e-5),
     )
     _, _, traces = run(obs, tcfg, gt)
     return traces

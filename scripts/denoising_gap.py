@@ -15,7 +15,6 @@ import numpy as np
 
 from tcmf import (
     HmfParams,
-    JimfRequest,
     LambdaSchedule,
     SynthConfig,
     TcmfConfig,
@@ -50,8 +49,7 @@ def main():
     full = TcmfConfig(
         schedule=LambdaSchedule(lambda1=lam1, rho=0.9, epsilon=1e-3),
         epochs=args.epochs,
-        jimf=JimfRequest(r1=args.r1, r2=args.r2, epsilon=1e-3, backend="hmf",
-                         backend_params=HmfParams(step_size=5e-3, iterations=300, beta=1e-5)),
+        params=HmfParams(step_size=5e-3, iterations=300, beta=1e-5),
     )
     _, _, full_traces = run(obs, full, gt)
 
@@ -61,8 +59,7 @@ def main():
     control = TcmfConfig(
         schedule=LambdaSchedule(lambda1=huge, rho=0.9, epsilon=1e-3),
         epochs=1,
-        jimf=JimfRequest(r1=args.r1, r2=args.r2, epsilon=1e-3, backend="hmf",
-                         backend_params=HmfParams(step_size=5e-5, iterations=2000, beta=1e-5)),
+        params=HmfParams(step_size=5e-5, iterations=2000, beta=1e-5),
     )
     _, _, control_traces = run(obs, control, gt)
 

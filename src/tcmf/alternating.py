@@ -8,7 +8,7 @@ Epoch t (estimates start at zero):
 """
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,12 +24,12 @@ WARM_START_POLICIES = ("carry_forward", "fresh_spectral")
 
 @dataclass(frozen=True)
 class TcmfConfig:
-    """Outer-loop settings.  jimf acts as a template; its matrices, rank
-    targets and warm start are filled in per epoch from the data."""
+    """Outer-loop settings.  params (HmfParams or PerpcaParams) picks the
+    inner backend; each epoch's problem is built from the data."""
 
     schedule: LambdaSchedule
     epochs: int
-    jimf: JimfRequest
+    params: object
     warm_start_policy: str = "carry_forward"
 
     def __post_init__(self):
@@ -84,14 +84,8 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
             s_hat = SparseEstimate.from_matrices(s_mats)
             cleaned = [m - s for m, s in zip(mats, s_mats)]
             warm = est if cfg.warm_start_policy == "carry_forward" else None
-            req = replace(
-                cfg.jimf,
-                matrices=tuple(cleaned),
-                r1=obs.r1,
-                r2=obs.r2,
-                warm_start=warm,
-            )
-            est = solve(req)
+            req = JimfRequest(matrices=tuple(cleaned), r1=obs.r1, r2=obs.r2, warm_start=warm)
+            est = solve(req, cfg.params)
             wall_ms = (time.perf_counter() - t0) * 1e3
             errors = {}
             if gt is not None:

@@ -70,7 +70,7 @@ def cli_run(config_path, data_dir, trace_out) -> int:
     cfg = TcmfConfig(
         schedule=io.lambda_schedule(rc, lam1),
         epochs=rc.epochs,
-        jimf=io.jimf_template(rc),
+        params=io.backend_params(rc.backend, rc.step_size, rc.inner_iterations, rc.beta),
         warm_start_policy=rc.warm_start,
     )
     try:

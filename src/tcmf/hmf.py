@@ -83,7 +83,10 @@ def hmf_gradients(est: FactorEstimate, source_index: int, matrix, beta: float):
 def _check_full_rank(u_g: np.ndarray):
     if u_g.shape[1] == 0:
         return
-    sv = np.linalg.svd(u_g, compute_uv=False)
+    try:
+        sv = np.linalg.svd(u_g, compute_uv=False)
+    except np.linalg.LinAlgError as err:
+        raise SingularityError(f"shared factor has no SVD ({err}); cannot correct") from err
     if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
         raise SingularityError("shared factor lost column rank; cannot correct")
 
@@ -94,7 +97,10 @@ def _correct_arrays(u_g, v_g, u_l, v_l):
     # (N, ., .) sharing the 2-D u_g.
     if u_g.shape[1] == 0 or u_l.shape[-1] == 0:
         return u_l, v_g
-    g = np.linalg.solve(u_g.T @ u_g, u_g.T @ u_l)
+    try:
+        g = np.linalg.solve(u_g.T @ u_g, u_g.T @ u_l)
+    except np.linalg.LinAlgError as err:
+        raise SingularityError(f"shared factor Gram matrix is singular ({err}); cannot correct") from err
     return u_l - u_g @ g, v_g + v_l @ g.swapaxes(-1, -2)
 
 
@@ -111,6 +117,9 @@ def hmf_correct(est: FactorEstimate, source_index: int) -> FactorEstimate:
     return replace(est, v_g=v_g, u_l=u_l)
 
 
+# one scope per solve: a diverging run overflows before ObjectiveTrace sees
+# the non-finite objective, and numpy's warnings would bury DivergenceError
+@np.errstate(over="ignore", invalid="ignore")
 def hmf_solve(req: JimfRequest, params: HmfParams, objective_out: list | None = None) -> FactorEstimate:
     """Run the correct-then-step loop for params.iterations rounds.
 
@@ -145,6 +154,7 @@ def hmf_solve(req: JimfRequest, params: HmfParams, objective_out: list | None = 
     for _ in range(params.iterations):
         try:
             _check_full_rank(u_g)
+            u_l, v_g = _correct_arrays(u_g, v_g, u_l, v_l)
         except SingularityError:
             # rank collapse after runaway growth is divergence, not bad input
             values = trace.values
@@ -155,7 +165,6 @@ def hmf_solve(req: JimfRequest, params: HmfParams, objective_out: list | None = 
         reg_g_val = 0.5 * beta * _frob_sq(gram_g - eye_g)
         reg_g_grad = 2.0 * beta * (u_g @ (gram_g - eye_g))
 
-        u_l, v_g = _correct_arrays(u_g, v_g, u_l, v_l)
         e = u_g @ v_g.swapaxes(-1, -2)
         e += u_l @ v_l.swapaxes(-1, -2)
         e -= m_all

@@ -18,7 +18,7 @@ import numpy as np
 from .alternating import WARM_START_POLICIES
 from .errors import ConfigurationError, CorruptDataError, MissingInputError
 from .hmf import HmfParams
-from .jimf import BACKENDS, FactorEstimate, JimfRequest
+from .jimf import BACKENDS, FactorEstimate
 from .model import GroundTruth, IdentifiabilityReport, ObservationSet, SynthConfig
 from .numerics import as_matrix
 from .perpca import PerpcaParams
@@ -169,21 +169,13 @@ def synth_config(rc: RunConfig, seed: int | None = None) -> SynthConfig:
     )
 
 
-def backend_params(rc: RunConfig):
-    if rc.backend == "hmf":
-        return HmfParams(step_size=rc.step_size, iterations=rc.inner_iterations, beta=rc.beta)
-    return PerpcaParams(step_size=rc.step_size, iterations=rc.inner_iterations)
-
-
-def jimf_template(rc: RunConfig) -> JimfRequest:
-    return JimfRequest(
-        matrices=(),
-        r1=rc.r1,
-        r2=rc.r2,
-        epsilon=rc.epsilon,
-        backend=rc.backend,
-        backend_params=backend_params(rc),
-    )
+def backend_params(backend: str, step_size: float, iterations: int, beta: float):
+    """The params object that selects backend in jimf.solve; only hmf reads beta."""
+    if backend == "hmf":
+        return HmfParams(step_size=step_size, iterations=iterations, beta=beta)
+    if backend == "perpca":
+        return PerpcaParams(step_size=step_size, iterations=iterations)
+    raise ConfigurationError(f"backend must be one of {BACKENDS}, got {backend!r}")
 
 
 def lambda_schedule(rc: RunConfig, lambda1: float) -> LambdaSchedule:
@@ -197,8 +189,28 @@ def _obs_path(directory, i: int) -> Path:
     return Path(directory) / f"M_{i}.mat"
 
 
-_GT_SHARED = "U_G.mat"
-_GT_PATTERNS = ("V_G_{i}.mat", "U_L_{i}.mat", "V_L_{i}.mat", "S_{i}.mat")
+# factor files: {prefix}U_G.mat plus {prefix}<stem>_{i}.mat per source i,
+# with prefix "" for ground truth and "EST_" for estimates
+_SHARED = "U_G.mat"
+_SOURCE_STEMS = ("V_G", "U_L", "V_L", "S")
+_EST_PREFIX = "EST_"
+
+
+def _write_factors(directory: Path, prefix: str, factors, s):
+    write_matrix(directory / f"{prefix}{_SHARED}", factors.u_g)
+    for i, mats in enumerate(zip(factors.v_g, factors.u_l, factors.v_l, s), start=1):
+        for stem, m in zip(_SOURCE_STEMS, mats):
+            write_matrix(directory / f"{prefix}{stem}_{i}.mat", m)
+
+
+def _read_factors(directory: Path, prefix: str, n_sources: int):
+    """(u_g, v_g, u_l, v_l, s) as written by _write_factors."""
+    u_g = read_matrix(directory / f"{prefix}{_SHARED}")
+    per_stem = (
+        [read_matrix(directory / f"{prefix}{stem}_{i}.mat") for i in range(1, n_sources + 1)]
+        for stem in _SOURCE_STEMS
+    )
+    return (u_g, *per_stem)
 
 
 def save_dataset(directory, gt: GroundTruth, obs: ObservationSet, report: IdentifiabilityReport):
@@ -206,13 +218,9 @@ def save_dataset(directory, gt: GroundTruth, obs: ObservationSet, report: Identi
     report: 5N+1 matrix files plus the report text."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_matrix(directory / _GT_SHARED, gt.u_g)
-    for i in range(obs.n_sources):
-        write_matrix(_obs_path(directory, i + 1), obs.matrices[i])
-        write_matrix(directory / f"V_G_{i + 1}.mat", gt.v_g[i])
-        write_matrix(directory / f"U_L_{i + 1}.mat", gt.u_l[i])
-        write_matrix(directory / f"V_L_{i + 1}.mat", gt.v_l[i])
-        write_matrix(directory / f"S_{i + 1}.mat", gt.s[i])
+    for i, m in enumerate(obs.matrices, start=1):
+        write_matrix(_obs_path(directory, i), m)
+    _write_factors(directory, "", gt, gt.s)
     lines = [
         f"alpha={report.alpha!r}",
         f"mu={report.mu!r}",
@@ -256,43 +264,25 @@ def load_observations(directory, r1: int, r2: int) -> ObservationSet:
 
 
 def has_ground_truth(directory) -> bool:
-    return (Path(directory) / _GT_SHARED).exists()
+    return (Path(directory) / _SHARED).exists()
 
 
 def load_ground_truth(directory, n_sources: int) -> GroundTruth:
-    directory = Path(directory)
-    u_g = read_matrix(directory / _GT_SHARED)
-    v_g, u_l, v_l, s = [], [], [], []
-    for i in range(1, n_sources + 1):
-        v_g.append(read_matrix(directory / f"V_G_{i}.mat"))
-        u_l.append(read_matrix(directory / f"U_L_{i}.mat"))
-        v_l.append(read_matrix(directory / f"V_L_{i}.mat"))
-        s.append(read_matrix(directory / f"S_{i}.mat"))
-    return GroundTruth(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l, s=s, seed=0)
+    u_g, v_g, u_l, v_l, s = _read_factors(Path(directory), "", n_sources)
+    return GroundTruth(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l, s=s)
 
 
 def save_estimates(directory, est: FactorEstimate, s_hat: SparseEstimate):
     directory = Path(directory) / ESTIMATES_DIR
     directory.mkdir(parents=True, exist_ok=True)
-    write_matrix(directory / "EST_U_G.mat", est.u_g)
-    for i in range(est.n_sources):
-        write_matrix(directory / f"EST_V_G_{i + 1}.mat", est.v_g[i])
-        write_matrix(directory / f"EST_U_L_{i + 1}.mat", est.u_l[i])
-        write_matrix(directory / f"EST_V_L_{i + 1}.mat", est.v_l[i])
-        write_matrix(directory / f"EST_S_{i + 1}.mat", s_hat.s[i])
+    _write_factors(directory, _EST_PREFIX, est, s_hat.s)
 
 
 def load_estimates(directory, n_sources: int):
     directory = Path(directory) / ESTIMATES_DIR
     if not directory.exists():
         raise MissingInputError(f"no estimates under {directory}")
-    u_g = read_matrix(directory / "EST_U_G.mat")
-    v_g, u_l, v_l, s = [], [], [], []
-    for i in range(1, n_sources + 1):
-        v_g.append(read_matrix(directory / f"EST_V_G_{i}.mat"))
-        u_l.append(read_matrix(directory / f"EST_U_L_{i}.mat"))
-        v_l.append(read_matrix(directory / f"EST_V_L_{i}.mat"))
-        s.append(read_matrix(directory / f"EST_S_{i}.mat"))
+    u_g, v_g, u_l, v_l, s = _read_factors(directory, _EST_PREFIX, n_sources)
     est = FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)
     return est, SparseEstimate.from_matrices(s)
 

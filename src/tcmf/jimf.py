@@ -52,23 +52,17 @@ class FactorEstimate:
         return max(linf(self.u_g.T @ ul) for ul in self.u_l)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class JimfRequest:
-    """One factorization problem: data, rank targets, accuracy, backend."""
+    """One factorization problem: data, rank targets and an optional warm
+    start.  The params object handed to solve picks the backend."""
 
-    matrices: tuple = ()
-    r1: int = 0
-    r2: int = 0
-    epsilon: float = 1e-3
-    backend: str = "hmf"
-    backend_params: object | None = None
+    matrices: tuple
+    r1: int
+    r2: int
     warm_start: FactorEstimate | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ConfigurationError("epsilon must be positive")
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(f"backend must be one of {BACKENDS}")
         if self.r1 < 0 or self.r2 < 0:
             raise DimensionError("rank targets must be nonnegative")
 
@@ -147,22 +141,22 @@ def spectral_init(matrices, r1: int, r2: int) -> FactorEstimate:
     return FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)
 
 
-def solve(req: JimfRequest) -> FactorEstimate:
-    """Run the requested backend for its configured iteration budget.
+def solve(req: JimfRequest, params) -> FactorEstimate:
+    """Run the backend named by the type of params (HmfParams: hmf,
+    PerpcaParams: perpca) for its configured iteration budget.
 
-    req.epsilon is not read: neither backend has a stopping tolerance.
-    Raises DivergenceError (with the objective trace attached) under the
+    Raises ConfigurationError for any other params object, and
+    DivergenceError (with the objective trace attached) under the
     ObjectiveTrace rule.
     """
-    if req.backend == "hmf":
-        from .hmf import HmfParams, hmf_solve
-
-        params = req.backend_params if req.backend_params is not None else HmfParams()
-        return hmf_solve(req, params)
+    from .hmf import HmfParams, hmf_solve
     from .perpca import PerpcaParams, perpca_solve
 
-    params = req.backend_params if req.backend_params is not None else PerpcaParams()
-    return perpca_solve(req, params)
+    if isinstance(params, HmfParams):
+        return hmf_solve(req, params)
+    if isinstance(params, PerpcaParams):
+        return perpca_solve(req, params)
+    raise ConfigurationError(f"params must be HmfParams or PerpcaParams, got {type(params).__name__}")
 
 
 def check_epsilon_optimality(candidate: FactorEstimate, reference: FactorEstimate, epsilon: float) -> bool:

@@ -51,7 +51,6 @@ class GroundTruth:
     u_l: list
     v_l: list
     s: list
-    seed: int
 
     @property
     def n_sources(self) -> int:
@@ -130,7 +129,7 @@ def generate(cfg: SynthConfig) -> GroundTruth:
         mask = rng.random((cfg.n1, cfg.n2)) < cfg.noise_prob
         signs = np.where(rng.random((cfg.n1, cfg.n2)) < 0.5, -1.0, 1.0)
         s.append(np.where(mask, signs * cfg.noise_magnitude, 0.0))
-    return GroundTruth(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l, s=s, seed=cfg.seed)
+    return GroundTruth(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l, s=s)
 
 
 def assemble_observations(gt: GroundTruth) -> ObservationSet:

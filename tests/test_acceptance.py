@@ -51,9 +51,8 @@ def desk_config(seed):
                        noise_prob=0.01, noise_magnitude=100.0, seed=seed)
 
 
-def desk_jimf():
-    return JimfRequest(r1=3, r2=3, epsilon=1e-3, backend="hmf",
-                       backend_params=HmfParams(step_size=5e-3, iterations=300, beta=1e-5))
+def desk_params():
+    return HmfParams(step_size=5e-3, iterations=300, beta=1e-5)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ def desk():
         obs = assemble_observations(gt)
         lam1 = initial_lambda(obs, "theoretical", identifiability_report(gt))
         cfg = TcmfConfig(schedule=LambdaSchedule(lambda1=lam1, rho=0.9, epsilon=1e-3),
-                         epochs=20, jimf=desk_jimf())
+                         epochs=20, params=desk_params())
         _, _, traces = run(obs, cfg, gt)
         out["runs"][seed] = (gt, obs, traces)
     out["elapsed"] = time.time() - start
@@ -81,8 +80,7 @@ def no_denoising_baseline(desk):
     cfg = TcmfConfig(
         schedule=LambdaSchedule(lambda1=huge, rho=0.9, epsilon=1e-3),
         epochs=1,
-        jimf=JimfRequest(r1=3, r2=3, epsilon=1e-3, backend="hmf",
-                         backend_params=HmfParams(step_size=5e-5, iterations=2000, beta=1e-5)),
+        params=HmfParams(step_size=5e-5, iterations=2000, beta=1e-5),
     )
     start = time.time()
     _, s_hat, traces = run(obs, cfg, gt)
@@ -91,13 +89,9 @@ def no_denoising_baseline(desk):
 
 @pytest.fixture(scope="module")
 def tiny_solutions(tiny):
-    req = dict(matrices=tuple(tiny.mats), r1=tiny.r1, r2=tiny.r2, epsilon=1e-3)
-    hmf = solve(JimfRequest(backend="hmf",
-                            backend_params=HmfParams(step_size=0.01, iterations=2000, beta=1e-5),
-                            **req))
-    perpca = solve(JimfRequest(backend="perpca",
-                               backend_params=PerpcaParams(step_size=0.1, iterations=2000),
-                               **req))
+    req = JimfRequest(matrices=tuple(tiny.mats), r1=tiny.r1, r2=tiny.r2)
+    hmf = solve(req, HmfParams(step_size=0.01, iterations=2000, beta=1e-5))
+    perpca = solve(req, PerpcaParams(step_size=0.1, iterations=2000))
     return {"hmf": hmf, "perpca": perpca}
 
 
@@ -211,7 +205,7 @@ def test_criterion_07_orthogonality_every_iteration(tiny):
             self_errs.append(linf(ul.T @ ul - np.eye(tiny.r2)))
             cross_errs.append(linf(u_g.T @ ul))
 
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=tiny.r1, r2=tiny.r2, epsilon=1e-3)
+    req = JimfRequest(matrices=tuple(tiny.mats), r1=tiny.r1, r2=tiny.r2)
     est = perpca_solve(req, PerpcaParams(step_size=0.1, iterations=300), callback=record)
     assert len(cross_errs) == 300 * tiny.n_sources
     assert max(self_errs) < 1e-6
@@ -230,9 +224,8 @@ def test_criterion_08_single_source_reduces_to_svd():
     obs = ObservationSet(matrices=[m], r1=2, r2=0)
     lam1 = initial_lambda(obs, "data_driven")
     sched = LambdaSchedule(lambda1=lam1, rho=0.5, epsilon=1e-3)
-    jimf = JimfRequest(r1=2, r2=0, epsilon=1e-3, backend="hmf",
-                       backend_params=HmfParams(step_size=0.01, iterations=2000, beta=1e-5))
-    est, s_hat, _ = run(obs, TcmfConfig(schedule=sched, epochs=5, jimf=jimf))
+    params = HmfParams(step_size=0.01, iterations=2000, beta=1e-5)
+    est, s_hat, _ = run(obs, TcmfConfig(schedule=sched, epochs=5, params=params))
     low, sparse = rpca_baseline(m, 2, sched, 5)
     assert np.count_nonzero(sparse) == 0
     assert all(np.count_nonzero(s) == 0 for s in s_hat.s)

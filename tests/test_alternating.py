@@ -3,7 +3,6 @@ import pytest
 
 from tcmf import (
     HmfParams,
-    JimfRequest,
     LambdaSchedule,
     ObservationSet,
     SynthConfig,
@@ -15,19 +14,21 @@ from tcmf import (
     rpca_baseline,
     run,
 )
+from tcmf import alternating
 from tcmf.errors import ConfigurationError, DivergenceError
 from tcmf.numerics import linf
 
 from conftest import orth
 
 
-def tiny_cfg(lambda1, epochs=5, backend="hmf", params=None, rho=0.5, **kw):
-    if params is None:
-        params = HmfParams(step_size=0.01, iterations=800, beta=1e-5)
+TINY_PARAMS = HmfParams(step_size=0.01, iterations=800, beta=1e-5)
+
+
+def tiny_cfg(lambda1, epochs=5, params=TINY_PARAMS, rho=0.5, **kw):
     return TcmfConfig(
         schedule=LambdaSchedule(lambda1=lambda1, rho=rho, epsilon=1e-3),
         epochs=epochs,
-        jimf=JimfRequest(backend=backend, backend_params=params),
+        params=params,
         **kw,
     )
 
@@ -37,6 +38,17 @@ def test_config_validation(tiny):
         tiny_cfg(lambda1=1.0, epochs=0)
     with pytest.raises(ConfigurationError):
         tiny_cfg(lambda1=1.0, warm_start_policy="psychic")
+
+
+@pytest.mark.parametrize("params", [None, "hmf"], ids=["none", "name"])
+def test_run_rejects_non_params_before_any_epoch(tiny, monkeypatch, params):
+    traces_seen = []
+    monkeypatch.setattr(alternating, "EpochTrace",
+                        lambda **kw: traces_seen.append(kw))
+    obs = ObservationSet(matrices=tuple(tiny.mats), r1=2, r2=2)
+    with pytest.raises(ConfigurationError, match="HmfParams or PerpcaParams"):
+        run(obs, tiny_cfg(lambda1=1.0, params=params))
+    assert traces_seen == []
 
 
 def test_noiseless_first_epoch_thresholds_everything(tiny):
@@ -99,7 +111,7 @@ def test_run_fresh_spectral_policy(tiny):
     assert tiny.product_error(est) <= 1e-3
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_divergence_attaches_partial_traces(tiny):
     obs = ObservationSet(matrices=tuple(tiny.mats), r1=2, r2=2)
     cfg = tiny_cfg(initial_lambda(obs, "data_driven"), epochs=4,
@@ -123,10 +135,7 @@ def test_rho_increase_never_adds_violations():
             cfg = TcmfConfig(
                 schedule=LambdaSchedule(lambda1=lam1, rho=rho, epsilon=1e-3),
                 epochs=6,
-                jimf=JimfRequest(backend="hmf",
-                                 backend_params=HmfParams(step_size=5e-3,
-                                                          iterations=150,
-                                                          beta=1e-5)),
+                params=HmfParams(step_size=5e-3, iterations=150, beta=1e-5),
             )
             _, _, traces = run(obs, cfg, gt=gt)
             by_rho[rho] = [t.support_violations for t in traces]

@@ -178,7 +178,7 @@ class TestRun:
                      "--out", str(trace)]) == EXIT_MISSING
         assert not trace.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergent_step_size_exits_2_with_partial_trace(self, tmp_path, capsys):
         cfg, out = synth(tmp_path, lambda1_mode="data_driven",
                          step_size="50.0", inner_iterations="300")
@@ -192,6 +192,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "diverged in epoch 1:" in err
         assert "at inner iteration" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_gram_divergence_exits_2_with_partial_trace(self, tmp_path, capsys):
+        # the shared factor blows up until its Gram matrix is singular
+        cfg, out = synth(tmp_path, step_size="1.5")
+        trace = tmp_path / "trace.csv"
+        assert main(["run", "--config", str(cfg), "--data", str(out),
+                     "--out", str(trace)]) == EXIT_DIVERGED
+        assert read_rows(trace) == []
+        err = capsys.readouterr().err
+        assert "diverged in epoch 1: shared factor collapsed while the objective grew" in err
 
 
 class TestFailureExitCodes:

@@ -149,13 +149,13 @@ def test_correct_fully_aligned_gives_zero_local():
 
 
 def test_solve_tiny_instance_reaches_tolerance(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2, backend="hmf")
+    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
     est = hmf_solve(req, HmfParams(step_size=0.01, iterations=2000, beta=1e-5))
     assert tiny.product_error(est) <= 1e-3
 
 
 def test_solve_zero_iterations_returns_corrected_init(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2, backend="hmf")
+    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
     est = hmf_solve(req, HmfParams(step_size=0.01, iterations=0, beta=1e-5))
     start = spectral_init(tiny.mats, 2, 2)
     for i in range(3):
@@ -164,7 +164,7 @@ def test_solve_zero_iterations_returns_corrected_init(tiny):
 
 
 def test_solve_zero_step_keeps_objective_constant(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2, backend="hmf")
+    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
     trace = []
     hmf_solve(req, HmfParams(step_size=0.0, iterations=25, beta=1e-5), objective_out=trace)
     assert len(trace) == 25
@@ -172,25 +172,27 @@ def test_solve_zero_step_keeps_objective_constant(tiny):
 
 
 def test_solve_objective_nonincreasing(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2, backend="hmf")
+    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
     trace = []
     hmf_solve(req, HmfParams(step_size=0.01, iterations=300, beta=1e-5), objective_out=trace)
     rises = np.diff(np.asarray(trace))
     assert rises.max(initial=0.0) <= 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "step, reason, length",
     [
         (50.0, "objective overflowed", 11),
         (0.25, "objective rose for 50 consecutive iterations", 51),
         (1.0, "shared factor collapsed while the objective grew", 22),
+        # the Gram matrix of the exploded shared factor is singular
+        (0.325, "shared factor collapsed while the objective grew", 48),
     ],
-    ids=["overflow", "rising", "collapse"],
+    ids=["overflow", "rising", "collapse", "singular"],
 )
 def test_solve_divergence_carries_trace(tiny, step, reason, length):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2, backend="hmf")
+    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
     out = []
     with pytest.raises(DivergenceError, match=reason) as info:
         hmf_solve(req, HmfParams(step_size=step, iterations=500, beta=1e-5), objective_out=out)

@@ -7,24 +7,38 @@ from tcmf import (
     JimfRequest,
     PerpcaParams,
     check_epsilon_optimality,
+    hmf_solve,
     kkt_residuals,
+    perpca_solve,
     renormalize,
     solve,
     spectral_init,
     truncated_svd,
 )
-from tcmf.errors import ConfigurationError, DivergenceError, SingularityError
+from tcmf.errors import ConfigurationError, DimensionError, DivergenceError, SingularityError
 from tcmf.jimf import DIVERGENCE_WINDOW, ObjectiveTrace
 from tcmf.numerics import linf
 
 from conftest import TinyInstance, orth, random_estimate
 
 
-def test_request_validation():
-    with pytest.raises(ConfigurationError):
-        JimfRequest(epsilon=0.0)
-    with pytest.raises(ConfigurationError):
-        JimfRequest(backend="lobpcg")
+def test_request_validation(tiny):
+    with pytest.raises(DimensionError):
+        JimfRequest(matrices=tuple(tiny.mats), r1=-1, r2=2)
+    with pytest.raises(DimensionError):
+        JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=-1)
+    with pytest.raises(TypeError):
+        JimfRequest(tuple(tiny.mats), 2, 2)  # keyword-only, no placeholder defaults
+    with pytest.raises(TypeError):
+        JimfRequest(r1=2, r2=2)
+
+
+@pytest.mark.parametrize("params", [None, object(), {"step_size": 1.0}, "hmf"],
+                         ids=["none", "object", "dict", "name"])
+def test_solve_rejects_non_params(tiny, params):
+    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
+    with pytest.raises(ConfigurationError, match="HmfParams or PerpcaParams"):
+        solve(req, params)
 
 
 def test_objective_trace_divergence_rule():
@@ -85,8 +99,23 @@ def test_spectral_init_rejects_zero_matrices():
         spectral_init([np.zeros((5, 8)), np.zeros((5, 8))], 1, 1)
 
 
+@pytest.mark.parametrize("params", [
+    HmfParams(step_size=0.01, iterations=20, beta=1e-3),
+    PerpcaParams(step_size=0.1, iterations=20),
+], ids=["hmf", "perpca"])
+def test_solve_runs_the_backend_its_params_name(tiny, params):
+    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
+    backend = hmf_solve if isinstance(params, HmfParams) else perpca_solve
+    got, want = solve(req, params), backend(req, params)
+    for i in range(3):
+        assert np.array_equal(got.reconstruction(i), want.reconstruction(i))
+
+
 HMF_LONG = HmfParams(step_size=0.01, iterations=2000, beta=1e-5)
 PERPCA_LONG = PerpcaParams(step_size=0.1, iterations=1500)
+# the params type picks the backend; ids keep the names these cases had
+# when the backend was a separate argument
+BACKEND_IDS = ["hmf-params0", "perpca-params1"]
 
 
 def assert_source_shapes(est, mats, r1, r2):
@@ -98,17 +127,16 @@ def assert_source_shapes(est, mats, r1, r2):
         assert est.v_l[i].shape == (m.shape[1], r2)
 
 
-@pytest.mark.parametrize("backend,params,instance", [
-    pytest.param("hmf", HMF_LONG, "tiny", id="hmf-params0"),
-    pytest.param("perpca", PERPCA_LONG, "tiny", id="perpca-params1"),
-    pytest.param("hmf", HMF_LONG, "uneven", id="hmf-uneven"),
-    pytest.param("perpca", PERPCA_LONG, "uneven", id="perpca-uneven"),
+@pytest.mark.parametrize("params,instance", [
+    pytest.param(HMF_LONG, "tiny", id="hmf-params0"),
+    pytest.param(PERPCA_LONG, "tiny", id="perpca-params1"),
+    pytest.param(HMF_LONG, "uneven", id="hmf-uneven"),
+    pytest.param(PERPCA_LONG, "uneven", id="perpca-uneven"),
 ])
-def test_solve_recovers_noiseless_products(request, backend, params, instance):
+def test_solve_recovers_noiseless_products(request, params, instance):
     inst = request.getfixturevalue(instance)
-    req = JimfRequest(matrices=tuple(inst.mats), r1=2, r2=2,
-                      backend=backend, backend_params=params)
-    est = solve(req)
+    req = JimfRequest(matrices=tuple(inst.mats), r1=2, r2=2)
+    est = solve(req, params)
     assert_source_shapes(est, inst.mats, 2, 2)
     assert inst.product_error(est) <= 1e-3
     assert est.cross_orthogonality() <= 1e-8
@@ -116,60 +144,57 @@ def test_solve_recovers_noiseless_products(request, backend, params, instance):
         assert np.isfinite(rec).all()
 
 
-@pytest.mark.parametrize("backend,params", [("hmf", HMF_LONG), ("perpca", PERPCA_LONG)])
+@pytest.mark.parametrize("params", [HMF_LONG, PERPCA_LONG], ids=BACKEND_IDS)
 @pytest.mark.parametrize("r1,r2", [(0, 2), (2, 0)])
-def test_solve_multi_source_rank_zero_edges(backend, params, r1, r2):
+def test_solve_multi_source_rank_zero_edges(params, r1, r2):
     inst = TinyInstance(seed=9, n=4, n1=10, n2=[20, 26, 20, 17], r1=r1, r2=r2)
-    req = JimfRequest(matrices=tuple(inst.mats), r1=r1, r2=r2,
-                      backend=backend, backend_params=params)
-    est = solve(req)
+    req = JimfRequest(matrices=tuple(inst.mats), r1=r1, r2=r2)
+    est = solve(req, params)
     assert_source_shapes(est, inst.mats, r1, r2)
     assert inst.product_error(est) <= 1e-3
     assert est.cross_orthogonality() <= 1e-8
 
 
-@pytest.mark.parametrize("backend,params", [("hmf", HMF_LONG), ("perpca", PERPCA_LONG)])
-def test_solve_rank_zero_gives_zero_reconstructions(backend, params):
+@pytest.mark.parametrize("params", [HMF_LONG, PERPCA_LONG], ids=BACKEND_IDS)
+def test_solve_rank_zero_gives_zero_reconstructions(params):
     rng = np.random.default_rng(31)
     mats = tuple(rng.standard_normal((8, n2)) for n2 in (12, 9, 15))
-    est = solve(JimfRequest(matrices=mats, r1=0, r2=0, backend=backend, backend_params=params))
+    est = solve(JimfRequest(matrices=mats, r1=0, r2=0), params)
     assert_source_shapes(est, mats, 0, 0)
     for i, m in enumerate(mats):
         assert np.array_equal(est.reconstruction(i), np.zeros_like(m))
 
 
-@pytest.mark.parametrize("backend,params", [
-    ("hmf", HmfParams(step_size=0.01, iterations=2000, beta=1e-5)),
-    ("perpca", PerpcaParams(step_size=0.1, iterations=1500)),
-])
-def test_solve_single_source_reduces_to_svd(backend, params):
+@pytest.mark.parametrize("params", [
+    HmfParams(step_size=0.01, iterations=2000, beta=1e-5),
+    PerpcaParams(step_size=0.1, iterations=1500),
+], ids=BACKEND_IDS)
+def test_solve_single_source_reduces_to_svd(params):
     rng = np.random.default_rng(11)
     m = orth(rng.standard_normal((10, 2))) @ (orth(rng.standard_normal((20, 2))) * 3.0).T
-    req = JimfRequest(matrices=(m,), r1=2, r2=0,
-                      backend=backend, backend_params=params)
-    est = solve(req)
+    req = JimfRequest(matrices=(m,), r1=2, r2=0)
+    est = solve(req, params)
     oracle = truncated_svd(m, 2).reconstruct()
     assert linf(est.reconstruction(0) - oracle) <= 1e-6
 
 
-@pytest.mark.parametrize("backend,params", [
-    ("hmf", HmfParams(step_size=0.01, iterations=200, beta=1e-5)),
-    ("perpca", PerpcaParams(step_size=0.1, iterations=200)),
-])
-def test_solve_warm_start_at_optimum_is_fixed_point(tiny, backend, params):
+@pytest.mark.parametrize("params", [
+    HmfParams(step_size=0.01, iterations=200, beta=1e-5),
+    PerpcaParams(step_size=0.1, iterations=200),
+], ids=BACKEND_IDS)
+def test_solve_warm_start_at_optimum_is_fixed_point(tiny, params):
     exact = tiny.exact_estimate()
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2, backend=backend,
-                      backend_params=params, warm_start=exact)
-    est = solve(req)
+    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2, warm_start=exact)
+    est = solve(req, params)
     for i in range(3):
         assert linf(est.reconstruction(i) - exact.reconstruction(i)) <= 1e-8
 
 
-@pytest.mark.parametrize("backend,params", [
-    ("hmf", HmfParams(step_size=0.01, iterations=50, beta=1e-5)),
-    ("perpca", PerpcaParams(step_size=0.1, iterations=50)),
-])
-def test_solve_invariant_under_common_sign_flip(tiny, backend, params):
+@pytest.mark.parametrize("params", [
+    HmfParams(step_size=0.01, iterations=50, beta=1e-5),
+    PerpcaParams(step_size=0.1, iterations=50),
+], ids=BACKEND_IDS)
+def test_solve_invariant_under_common_sign_flip(tiny, params):
     start = spectral_init(tiny.mats, 2, 2)
     flipped = FactorEstimate(
         u_g=start.u_g * np.array([-1.0, 1.0]),
@@ -177,10 +202,9 @@ def test_solve_invariant_under_common_sign_flip(tiny, backend, params):
         u_l=[u.copy() for u in start.u_l],
         v_l=[v.copy() for v in start.v_l],
     )
-    req = dict(matrices=tuple(tiny.mats), r1=2, r2=2,
-               backend=backend, backend_params=params)
-    a = solve(JimfRequest(**req, warm_start=start))
-    b = solve(JimfRequest(**req, warm_start=flipped))
+    req = dict(matrices=tuple(tiny.mats), r1=2, r2=2)
+    a = solve(JimfRequest(**req, warm_start=start), params)
+    b = solve(JimfRequest(**req, warm_start=flipped), params)
     for i in range(3):
         assert linf(a.reconstruction(i) - b.reconstruction(i)) < 1e-10
 
@@ -188,9 +212,8 @@ def test_solve_invariant_under_common_sign_flip(tiny, backend, params):
 def test_solve_reconstruction_rank_bounded():
     rng = np.random.default_rng(17)
     mats = tuple(rng.standard_normal((9, 14)) for _ in range(2))  # full rank data
-    req = JimfRequest(matrices=mats, r1=2, r2=1, backend="hmf",
-                      backend_params=HmfParams(step_size=1e-3, iterations=40, beta=1e-5))
-    est = solve(req)
+    req = JimfRequest(matrices=mats, r1=2, r2=1)
+    est = solve(req, HmfParams(step_size=1e-3, iterations=40, beta=1e-5))
     for rec in est.reconstructions():
         s = np.linalg.svd(rec, compute_uv=False)
         assert np.sum(s > 1e-8 * s[0]) <= 3

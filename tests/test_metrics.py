@@ -76,7 +76,7 @@ def test_recovery_errors_permutation_invariant():
     perm = [2, 0, 1]
     gt_p = GroundTruth(u_g=gt.u_g, v_g=[gt.v_g[i] for i in perm],
                        u_l=[gt.u_l[i] for i in perm], v_l=[gt.v_l[i] for i in perm],
-                       s=[gt.s[i] for i in perm], seed=gt.seed)
+                       s=[gt.s[i] for i in perm])
     est_p = FactorEstimate(u_g=est.u_g, v_g=[est.v_g[i] for i in perm],
                            u_l=[est.u_l[i] for i in perm], v_l=[est.v_l[i] for i in perm])
     s_p = SparseEstimate.from_matrices([s_hat.s[i] for i in perm])

@@ -89,7 +89,7 @@ def test_assemble_observations_matches_components():
 def test_assemble_zero_factors_gives_zero():
     z = np.zeros
     gt = GroundTruth(u_g=z((5, 2)), v_g=[z((8, 2))], u_l=[z((5, 1))],
-                     v_l=[z((8, 1))], s=[z((5, 8))], seed=0)
+                     v_l=[z((8, 1))], s=[z((5, 8))])
     obs = assemble_observations(gt)
     assert np.count_nonzero(obs.matrices[0]) == 0
 
