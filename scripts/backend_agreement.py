@@ -14,7 +14,7 @@ import numpy as np
 
 from tcmf import (
     HmfParams,
-    JimfRequest,
+    ObservationSet,
     PerpcaParams,
     kkt_residuals,
     renormalize,
@@ -57,10 +57,10 @@ def main():
     rng = np.random.default_rng(args.seed)
     mats = build_instance(rng, args.sources, args.n1, args.n2,
                           args.r1, args.r2, args.scale)
-    req = JimfRequest(matrices=tuple(mats), r1=args.r1, r2=args.r2)
+    obs = ObservationSet(matrices=mats, r1=args.r1, r2=args.r2)
     solutions = {
-        "hmf": solve(req, HmfParams(step_size=0.01, iterations=args.iterations, beta=1e-5)),
-        "perpca": solve(req, PerpcaParams(step_size=0.1, iterations=args.iterations)),
+        "hmf": solve(obs, HmfParams(step_size=0.01, iterations=args.iterations, beta=1e-5)),
+        "perpca": solve(obs, PerpcaParams(step_size=0.1, iterations=args.iterations)),
     }
 
     gap = max(

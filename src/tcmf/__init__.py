@@ -18,16 +18,7 @@ from .errors import (
     TcmfError,
 )
 from .hmf import HmfParams, hmf_correct, hmf_gradients, hmf_objective, hmf_solve
-from .jimf import (
-    FactorEstimate,
-    JimfRequest,
-    KktResidualReport,
-    check_epsilon_optimality,
-    kkt_residuals,
-    renormalize,
-    solve,
-    spectral_init,
-)
+from .jimf import KktResidualReport, kkt_residuals, renormalize, solve, spectral_init
 from .metrics import (
     RecoveryErrors,
     anomaly_statistic,
@@ -36,6 +27,7 @@ from .metrics import (
     recovery_errors,
 )
 from .model import (
+    FactorEstimate,
     GroundTruth,
     IdentifiabilityReport,
     ObservationSet,
@@ -68,7 +60,6 @@ __all__ = [
     "GroundTruth",
     "HmfParams",
     "IdentifiabilityReport",
-    "JimfRequest",
     "KktResidualReport",
     "LambdaSchedule",
     "MissingInputError",
@@ -84,7 +75,6 @@ __all__ = [
     "anomaly_statistic",
     "anomaly_threshold",
     "assemble_observations",
-    "check_epsilon_optimality",
     "generalized_retraction",
     "generate",
     "hard_threshold",

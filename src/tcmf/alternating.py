@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .jimf import FactorEstimate, JimfRequest, solve
+from .jimf import solve
 from .metrics import recovery_errors
-from .model import GroundTruth, ObservationSet
+from .model import FactorEstimate, GroundTruth, ObservationSet
 from .numerics import as_matrix, truncated_svd
 from .thresholding import LambdaSchedule, SparseEstimate, hard_threshold, next_lambda
 
@@ -84,8 +84,7 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
             s_hat = SparseEstimate.from_matrices(s_mats)
             cleaned = [m - s for m, s in zip(mats, s_mats)]
             warm = est if cfg.warm_start_policy == "carry_forward" else None
-            req = JimfRequest(matrices=tuple(cleaned), r1=obs.r1, r2=obs.r2, warm_start=warm)
-            est = solve(req, cfg.params)
+            est = solve(ObservationSet(matrices=cleaned, r1=obs.r1, r2=obs.r2), cfg.params, warm)
             wall_ms = (time.perf_counter() - t0) * 1e3
             errors = {}
             if gt is not None:

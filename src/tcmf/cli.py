@@ -100,11 +100,7 @@ def cli_check(data_dir) -> int:
         ratio = float("inf")
     else:
         ratio = report.alpha / budget
-    print(f"alpha={report.alpha!r}")
-    print(f"mu={report.mu!r}")
-    print(f"theta={report.theta!r}")
-    print(f"sigma_max={report.sigma_max!r}")
-    print(f"sigma_min={report.sigma_min!r}")
+    print(io.format_fields(report), end="")
     print(f"alpha_budget_ratio={ratio!r}")
     return EXIT_OK
 
@@ -115,16 +111,7 @@ def cli_metrics(data_dir, out_path=None) -> int:
         raise MissingInputError(f"no ground truth factors under {data_dir}")
     gt = io.load_ground_truth(data_dir, n)
     est, s_hat = io.load_estimates(data_dir, n)
-    errs = recovery_errors(est, s_hat, gt)
-    lines = [
-        f"linf_g={errs.linf_g!r}",
-        f"linf_l={errs.linf_l!r}",
-        f"linf_s={errs.linf_s!r}",
-        f"log_g={errs.log_g!r}",
-        f"log_l={errs.log_l!r}",
-        f"log_s={errs.log_s!r}",
-    ]
-    text = "\n".join(lines) + "\n"
+    text = io.format_fields(recovery_errors(est, s_hat, gt))
     if out_path is not None:
         Path(out_path).write_text(text)
     print(text, end="")
@@ -181,9 +168,6 @@ def main(argv=None) -> int:
     except CorruptDataError as err:
         print(f"corrupt data: {err}", file=sys.stderr)
         return EXIT_CORRUPT
-    except MissingInputError as err:
-        print(f"missing input: {err}", file=sys.stderr)
-        return EXIT_MISSING
     except FileNotFoundError as err:
         print(f"missing input: {err}", file=sys.stderr)
         return EXIT_MISSING

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
-from .jimf import FactorEstimate, JimfRequest, ObjectiveTrace, spectral_init
+from .jimf import ObjectiveTrace, spectral_init
+from .model import FactorEstimate, ObservationSet
 from .numerics import RANK_RTOL, as_matrix
 
 
@@ -120,10 +121,15 @@ def hmf_correct(est: FactorEstimate, source_index: int) -> FactorEstimate:
 # one scope per solve: a diverging run overflows before ObjectiveTrace sees
 # the non-finite objective, and numpy's warnings would bury DivergenceError
 @np.errstate(over="ignore", invalid="ignore")
-def hmf_solve(req: JimfRequest, params: HmfParams, objective_out: list | None = None) -> FactorEstimate:
+def hmf_solve(
+    obs: ObservationSet,
+    params: HmfParams,
+    warm_start: FactorEstimate | None = None,
+    objective_out: list | None = None,
+) -> FactorEstimate:
     """Run the correct-then-step loop for params.iterations rounds.
 
-    Starts from req.warm_start when given, otherwise from spectral_init.
+    Starts from warm_start when given, otherwise from spectral_init.
     Records the objective once per iteration through ObjectiveTrace
     (appended to objective_out when provided), which raises DivergenceError
     under the shared rule; a shared factor that loses rank after runaway
@@ -131,14 +137,14 @@ def hmf_solve(req: JimfRequest, params: HmfParams, objective_out: list | None = 
     correction pass so the returned estimate satisfies the orthogonality
     contract.
     """
-    mats = [as_matrix(m) for m in req.matrices]
-    start = req.warm_start if req.warm_start is not None else spectral_init(mats, req.r1, req.r2)
+    mats = [as_matrix(m) for m in obs.matrices]
+    start = warm_start if warm_start is not None else spectral_init(mats, obs.r1, obs.r2)
     n = len(mats)
     widths = [m.shape[1] for m in mats]
     w = max(widths)
     m_all = np.zeros((n, mats[0].shape[0], w))
-    v_g = np.zeros((n, w, req.r1))
-    v_l = np.zeros((n, w, req.r2))
+    v_g = np.zeros((n, w, obs.r1))
+    v_l = np.zeros((n, w, obs.r2))
     for i, width in enumerate(widths):
         m_all[i, :, :width] = mats[i]
         v_g[i, :width] = start.v_g[i]
@@ -147,8 +153,8 @@ def hmf_solve(req: JimfRequest, params: HmfParams, objective_out: list | None = 
     u_l = np.stack(start.u_l)
     eta = params.step_size
     beta = params.beta
-    eye_g = np.eye(req.r1)
-    eye_l = np.eye(req.r2)
+    eye_g = np.eye(obs.r1)
+    eye_l = np.eye(obs.r2)
     trace = ObjectiveTrace(objective_out)
 
     for _ in range(params.iterations):

@@ -10,16 +10,16 @@ observe a half-written file.
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .alternating import WARM_START_POLICIES
-from .errors import ConfigurationError, CorruptDataError, MissingInputError
+from .errors import ConfigurationError, CorruptDataError, DimensionError, MissingInputError
 from .hmf import HmfParams
-from .jimf import BACKENDS, FactorEstimate
-from .model import GroundTruth, IdentifiabilityReport, ObservationSet, SynthConfig
+from .jimf import BACKENDS
+from .model import FactorEstimate, GroundTruth, IdentifiabilityReport, ObservationSet, SynthConfig
 from .numerics import as_matrix
 from .perpca import PerpcaParams
 from .thresholding import LAMBDA1_MODES, LambdaSchedule, SparseEstimate
@@ -33,6 +33,11 @@ TIMING_ENV = "TCMF_TRACE_TIMING"
 REPORT_FILE = "identifiability.txt"
 MANIFEST_FILE = "manifest.txt"
 ESTIMATES_DIR = "estimates"
+
+
+def format_fields(record) -> str:
+    """One name=repr(value) line per dataclass field, in field order."""
+    return "".join(f"{f.name}={getattr(record, f.name)!r}\n" for f in fields(record))
 
 
 def _atomic_write_bytes(path, payload: bytes):
@@ -110,7 +115,8 @@ ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + tuple(_CHOICE_KEYS)
 
 def parse_run_config(text: str) -> RunConfig:
     """Parse key=value lines; blank lines and #-comments are skipped.
-    Unknown, repeated, missing or ill-typed keys are configuration errors."""
+    Unknown, repeated, missing or ill-typed keys are configuration errors, and
+    so are sizes and rank targets SynthConfig rejects."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -146,7 +152,12 @@ def parse_run_config(text: str) -> RunConfig:
         if values[key] not in choices:
             raise ConfigurationError(f"key {key!r}: expected one of {choices}, got {values[key]!r}")
         parsed[key] = values[key]
-    return RunConfig(**parsed)
+    rc = RunConfig(**parsed)
+    try:
+        synth_config(rc)
+    except DimensionError as err:
+        raise ConfigurationError(str(err)) from err
+    return rc
 
 
 def load_run_config(path) -> RunConfig:
@@ -221,14 +232,7 @@ def save_dataset(directory, gt: GroundTruth, obs: ObservationSet, report: Identi
     for i, m in enumerate(obs.matrices, start=1):
         write_matrix(_obs_path(directory, i), m)
     _write_factors(directory, "", gt, gt.s)
-    lines = [
-        f"alpha={report.alpha!r}",
-        f"mu={report.mu!r}",
-        f"theta={report.theta!r}",
-        f"sigma_max={report.sigma_max!r}",
-        f"sigma_min={report.sigma_min!r}",
-    ]
-    _atomic_write_bytes(directory / REPORT_FILE, ("\n".join(lines) + "\n").encode())
+    _atomic_write_bytes(directory / REPORT_FILE, format_fields(report).encode())
 
 
 def count_sources(directory) -> int:

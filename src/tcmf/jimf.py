@@ -1,9 +1,9 @@
-"""Joint/individual matrix factorization: shared interface, initialization,
-optimality checks and first-order residuals.
+"""Joint/individual matrix factorization: shared interface, initialization
+and first-order residuals.
 
-A factor estimate represents every source i as u_g v_g[i]^T + u_l[i] v_l[i]^T
-with the shared basis u_g kept orthogonal to each local basis u_l[i].
-Backends ("hmf", "perpca") drive the estimate toward the least-squares fit.
+Backends ("hmf", "perpca") drive a FactorEstimate of an ObservationSet toward
+the least-squares fit, keeping the shared basis u_g orthogonal to each local
+basis u_l[i].
 """
 
 from dataclasses import dataclass
@@ -11,60 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError, SingularityError
+from .model import FactorEstimate, ObservationSet
 from .numerics import as_matrix, linf, sign_fixed_qr, truncated_svd
 
-CROSS_ORTHO_TOL = 1e-8
 INIT_RANK_TOL = 1e-12
 DIVERGENCE_WINDOW = 50
 
 BACKENDS = ("hmf", "perpca")
-
-
-@dataclass(frozen=True)
-class FactorEstimate:
-    """Shared factor u_g plus per-source factors v_g, u_l, v_l."""
-
-    u_g: np.ndarray
-    v_g: list
-    u_l: list
-    v_l: list
-
-    @property
-    def n_sources(self) -> int:
-        return len(self.v_g)
-
-    @property
-    def r1(self) -> int:
-        return self.u_g.shape[1]
-
-    @property
-    def r2(self) -> int:
-        return self.u_l[0].shape[1]
-
-    def reconstruction(self, i: int) -> np.ndarray:
-        return self.u_g @ self.v_g[i].T + self.u_l[i] @ self.v_l[i].T
-
-    def reconstructions(self) -> list:
-        return [self.reconstruction(i) for i in range(self.n_sources)]
-
-    def cross_orthogonality(self) -> float:
-        """Worst |u_g^T u_l[i]| entry across sources."""
-        return max(linf(self.u_g.T @ ul) for ul in self.u_l)
-
-
-@dataclass(frozen=True, kw_only=True)
-class JimfRequest:
-    """One factorization problem: data, rank targets and an optional warm
-    start.  The params object handed to solve picks the backend."""
-
-    matrices: tuple
-    r1: int
-    r2: int
-    warm_start: FactorEstimate | None = None
-
-    def __post_init__(self):
-        if self.r1 < 0 or self.r2 < 0:
-            raise DimensionError("rank targets must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -141,9 +94,10 @@ def spectral_init(matrices, r1: int, r2: int) -> FactorEstimate:
     return FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)
 
 
-def solve(req: JimfRequest, params) -> FactorEstimate:
+def solve(obs: ObservationSet, params, warm_start: FactorEstimate | None = None) -> FactorEstimate:
     """Run the backend named by the type of params (HmfParams: hmf,
-    PerpcaParams: perpca) for its configured iteration budget.
+    PerpcaParams: perpca) for its configured iteration budget, from
+    warm_start when given and from spectral_init otherwise.
 
     Raises ConfigurationError for any other params object, and
     DivergenceError (with the objective trace attached) under the
@@ -153,25 +107,10 @@ def solve(req: JimfRequest, params) -> FactorEstimate:
     from .perpca import PerpcaParams, perpca_solve
 
     if isinstance(params, HmfParams):
-        return hmf_solve(req, params)
+        return hmf_solve(obs, params, warm_start)
     if isinstance(params, PerpcaParams):
-        return perpca_solve(req, params)
+        return perpca_solve(obs, params, warm_start)
     raise ConfigurationError(f"params must be HmfParams or PerpcaParams, got {type(params).__name__}")
-
-
-def check_epsilon_optimality(candidate: FactorEstimate, reference: FactorEstimate, epsilon: float) -> bool:
-    """True iff the candidate's reconstructions sit within epsilon (entrywise)
-    of the reference's for every source and the candidate keeps
-    u_g^T u_l[i] below the orthogonality tolerance."""
-    if candidate.n_sources != reference.n_sources:
-        raise DimensionError("candidate and reference have different source counts")
-    if candidate.cross_orthogonality() > CROSS_ORTHO_TOL:
-        return False
-    for i in range(candidate.n_sources):
-        gap = linf(candidate.reconstruction(i) - reference.reconstruction(i))
-        if gap > epsilon:
-            return False
-    return True
 
 
 def renormalize(est: FactorEstimate) -> FactorEstimate:

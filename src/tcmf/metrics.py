@@ -6,8 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .jimf import FactorEstimate
-from .model import GroundTruth
+from .model import FactorEstimate, GroundTruth
 from .numerics import as_matrix, linf
 from .thresholding import SparseEstimate
 

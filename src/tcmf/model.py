@@ -1,4 +1,5 @@
-"""Synthetic ground truth generation and identifiability diagnostics.
+"""The data model, synthetic ground truth generation and identifiability
+diagnostics.
 
 The data model: each observation M_i is the sum of a shared low-rank part
 u_g v_g[i]^T, a source-specific low-rank part u_l[i] v_l[i]^T with
@@ -43,22 +44,18 @@ class SynthConfig:
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    """True factors and sparse noise for every source."""
+class FactorEstimate:
+    """Shared factor u_g plus per-source factors v_g, u_l, v_l: source i is
+    represented as u_g v_g[i]^T + u_l[i] v_l[i]^T."""
 
     u_g: np.ndarray
     v_g: list
     u_l: list
     v_l: list
-    s: list
 
     @property
     def n_sources(self) -> int:
         return len(self.v_g)
-
-    @property
-    def n1(self) -> int:
-        return self.u_g.shape[0]
 
     @property
     def r1(self) -> int:
@@ -68,8 +65,22 @@ class GroundTruth:
     def r2(self) -> int:
         return self.u_l[0].shape[1]
 
-    def low_rank(self, i: int) -> np.ndarray:
+    def reconstruction(self, i: int) -> np.ndarray:
         return self.u_g @ self.v_g[i].T + self.u_l[i] @ self.v_l[i].T
+
+    def reconstructions(self) -> list:
+        return [self.reconstruction(i) for i in range(self.n_sources)]
+
+    def cross_orthogonality(self) -> float:
+        """Worst |u_g^T u_l[i]| entry across sources."""
+        return max(linf(self.u_g.T @ ul) for ul in self.u_l)
+
+
+@dataclass(frozen=True)
+class GroundTruth(FactorEstimate):
+    """True factors plus the sparse noise s[i] of every source."""
+
+    s: list
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,10 @@ class ObservationSet:
         for m in self.matrices:
             if m.shape[0] != n1:
                 raise DimensionError("all observations must share the row count")
+        if self.r1 < 0 or self.r2 < 0:
+            raise DimensionError("rank targets must be nonnegative")
+        if self.r1 + self.r2 > n1:
+            raise DimensionError("need r1 + r2 <= n1 for u_g to stay orthogonal to u_l")
 
     @property
     def n_sources(self) -> int:
@@ -133,7 +148,7 @@ def generate(cfg: SynthConfig) -> GroundTruth:
 
 
 def assemble_observations(gt: GroundTruth) -> ObservationSet:
-    mats = [gt.low_rank(i) + gt.s[i] for i in range(gt.n_sources)]
+    mats = [gt.reconstruction(i) + gt.s[i] for i in range(gt.n_sources)]
     return ObservationSet(matrices=mats, r1=gt.r1, r2=gt.r2)
 
 

@@ -68,10 +68,6 @@ class ThinSVD:
             if k and linf(f.T @ f - np.eye(k)) > ORTHO_TOL:
                 raise ContractViolationError("singular vectors are not orthonormal")
 
-    @property
-    def rank(self) -> int:
-        return int(self.sigma.shape[0])
-
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, SingularityError
-from .jimf import FactorEstimate, JimfRequest, ObjectiveTrace, spectral_init
+from .jimf import ObjectiveTrace, spectral_init
+from .model import FactorEstimate, ObservationSet
 from .numerics import as_matrix, as_stack, inv_sqrt_psd, sign_fixed_qr
 
 POWER_ITERATIONS = 20
@@ -89,8 +90,14 @@ def _lambda_max(c: np.ndarray) -> float:
     return float(v @ (c @ v))
 
 
-def perpca_solve(req: JimfRequest, params: PerpcaParams, callback=None) -> FactorEstimate:
-    """Run the retraction loop for params.iterations rounds.
+def perpca_solve(
+    obs: ObservationSet,
+    params: PerpcaParams,
+    warm_start: FactorEstimate | None = None,
+    callback=None,
+) -> FactorEstimate:
+    """Run the retraction loop for params.iterations rounds, from warm_start
+    when given and from spectral_init otherwise.
 
     The step size is params.step_size divided by the largest covariance
     eigenvalue across sources (estimated by power iteration), so the default
@@ -102,13 +109,13 @@ def perpca_solve(req: JimfRequest, params: PerpcaParams, callback=None) -> Facto
     Ends with an exact deflation plus QR pass on each local basis before the
     coefficients are read off.
     """
-    mats = [as_matrix(m) for m in req.matrices]
-    start = req.warm_start if req.warm_start is not None else spectral_init(mats, req.r1, req.r2)
+    mats = [as_matrix(m) for m in obs.matrices]
+    start = warm_start if warm_start is not None else spectral_init(mats, obs.r1, obs.r2)
     # warm starts from other backends are only near-orthonormal
     u_g = sign_fixed_qr(start.u_g)[0]
     u_l = np.stack([sign_fixed_qr(ul - u_g @ (u_g.T @ ul))[0] for ul in start.u_l])
     n = len(mats)
-    r1 = req.r1
+    r1 = obs.r1
     covs = np.stack([m @ m.T for m in mats])
     scale = max(_lambda_max(c) for c in covs)
     eta = params.step_size / scale if scale > 0.0 else 0.0

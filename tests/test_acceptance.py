@@ -14,7 +14,6 @@ import pytest
 
 from tcmf import (
     HmfParams,
-    JimfRequest,
     LambdaSchedule,
     ObservationSet,
     PerpcaParams,
@@ -89,7 +88,7 @@ def no_denoising_baseline(desk):
 
 @pytest.fixture(scope="module")
 def tiny_solutions(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=tiny.r1, r2=tiny.r2)
+    req = ObservationSet(matrices=tiny.mats, r1=tiny.r1, r2=tiny.r2)
     hmf = solve(req, HmfParams(step_size=0.01, iterations=2000, beta=1e-5))
     perpca = solve(req, PerpcaParams(step_size=0.1, iterations=2000))
     return {"hmf": hmf, "perpca": perpca}
@@ -205,7 +204,7 @@ def test_criterion_07_orthogonality_every_iteration(tiny):
             self_errs.append(linf(ul.T @ ul - np.eye(tiny.r2)))
             cross_errs.append(linf(u_g.T @ ul))
 
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=tiny.r1, r2=tiny.r2)
+    req = ObservationSet(matrices=tiny.mats, r1=tiny.r1, r2=tiny.r2)
     est = perpca_solve(req, PerpcaParams(step_size=0.1, iterations=300), callback=record)
     assert len(cross_errs) == 300 * tiny.n_sources
     assert max(self_errs) < 1e-6

@@ -215,6 +215,23 @@ class TestFailureExitCodes:
         assert code == EXIT_BAD_CONFIG
         assert not trace.exists()
 
+    @pytest.mark.parametrize("backend", ["hmf", "perpca"])
+    @pytest.mark.parametrize(
+        "bad",
+        [{"r1": 6, "r2": 6}, {"r1": -1}, {"n_sources": 0}],
+        ids=["ranks_exceed_n1", "negative_rank", "no_sources"],
+    )
+    def test_config_size_and_rank_errors_exit_64(self, tmp_path, capsys, bad, backend):
+        _, out = synth(tmp_path, backend=backend)
+        bad_cfg = write_config(tmp_path / "bad.cfg", backend=backend, **bad)
+        assert main(["synth", "--config", str(bad_cfg), "--out", str(tmp_path / "bad")]) == EXIT_BAD_CONFIG
+        trace = tmp_path / "trace.csv"
+        assert main(["run", "--config", str(bad_cfg), "--data", str(out),
+                     "--out", str(trace)]) == EXIT_BAD_CONFIG
+        assert not trace.exists()
+        assert not (tmp_path / "bad").exists()
+        assert capsys.readouterr().err.count("configuration error:") == 2
+
     def test_corrupted_matrix_exits_65(self, tmp_path):
         cfg, out = synth(tmp_path)
         path = out / "M_2.mat"

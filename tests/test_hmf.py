@@ -4,7 +4,7 @@ import pytest
 from tcmf import (
     FactorEstimate,
     HmfParams,
-    JimfRequest,
+    ObservationSet,
     hmf_correct,
     hmf_gradients,
     hmf_objective,
@@ -149,14 +149,14 @@ def test_correct_fully_aligned_gives_zero_local():
 
 
 def test_solve_tiny_instance_reaches_tolerance(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
-    est = hmf_solve(req, HmfParams(step_size=0.01, iterations=2000, beta=1e-5))
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    est = hmf_solve(obs, HmfParams(step_size=0.01, iterations=2000, beta=1e-5))
     assert tiny.product_error(est) <= 1e-3
 
 
 def test_solve_zero_iterations_returns_corrected_init(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
-    est = hmf_solve(req, HmfParams(step_size=0.01, iterations=0, beta=1e-5))
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    est = hmf_solve(obs, HmfParams(step_size=0.01, iterations=0, beta=1e-5))
     start = spectral_init(tiny.mats, 2, 2)
     for i in range(3):
         assert linf(est.reconstruction(i) - start.reconstruction(i)) < 1e-10
@@ -164,17 +164,17 @@ def test_solve_zero_iterations_returns_corrected_init(tiny):
 
 
 def test_solve_zero_step_keeps_objective_constant(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     trace = []
-    hmf_solve(req, HmfParams(step_size=0.0, iterations=25, beta=1e-5), objective_out=trace)
+    hmf_solve(obs, HmfParams(step_size=0.0, iterations=25, beta=1e-5), objective_out=trace)
     assert len(trace) == 25
     assert max(abs(t - trace[0]) for t in trace) < 1e-9
 
 
 def test_solve_objective_nonincreasing(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     trace = []
-    hmf_solve(req, HmfParams(step_size=0.01, iterations=300, beta=1e-5), objective_out=trace)
+    hmf_solve(obs, HmfParams(step_size=0.01, iterations=300, beta=1e-5), objective_out=trace)
     rises = np.diff(np.asarray(trace))
     assert rises.max(initial=0.0) <= 1e-9
 
@@ -192,10 +192,10 @@ def test_solve_objective_nonincreasing(tiny):
     ids=["overflow", "rising", "collapse", "singular"],
 )
 def test_solve_divergence_carries_trace(tiny, step, reason, length):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     out = []
     with pytest.raises(DivergenceError, match=reason) as info:
-        hmf_solve(req, HmfParams(step_size=step, iterations=500, beta=1e-5), objective_out=out)
+        hmf_solve(obs, HmfParams(step_size=step, iterations=500, beta=1e-5), objective_out=out)
     trace = info.value.objective_trace
     assert trace == out
     assert len(trace) == length
@@ -230,7 +230,7 @@ def test_solve_matches_per_source_reference(request, instance):
     mats = request.getfixturevalue(instance).mats
     params = HmfParams(step_size=0.01, iterations=5, beta=1e-3)
     trace = []
-    est = hmf_solve(JimfRequest(matrices=tuple(mats), r1=2, r2=2), params, objective_out=trace)
+    est = hmf_solve(ObservationSet(matrices=mats, r1=2, r2=2), params, objective_out=trace)
     ref, ref_trace = reference_solve(mats, 5, params.step_size, params.beta)
     # equal widths: the same arithmetic per source, so the same bits; the
     # zero padding of narrower sources may regroup a BLAS sum

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tcmf import (
+    FactorEstimate,
     GroundTruth,
     ObservationSet,
     SynthConfig,
@@ -82,8 +83,17 @@ def test_assemble_observations_matches_components():
     obs = assemble_observations(gt)
     assert obs.n_sources == 4 and obs.r1 == 2
     for i, m in enumerate(obs.matrices):
-        resid = m - gt.low_rank(i) - gt.s[i]
+        resid = m - gt.reconstruction(i) - gt.s[i]
         assert np.max(np.abs(resid)) == 0.0
+
+
+def test_ground_truth_is_a_factor_estimate():
+    gt = generate(small_cfg(r2=3))
+    assert isinstance(gt, FactorEstimate)
+    assert (gt.n_sources, gt.r1, gt.r2) == (4, 2, 3)
+    for i in range(gt.n_sources):
+        want = gt.u_g @ gt.v_g[i].T + gt.u_l[i] @ gt.v_l[i].T
+        assert np.array_equal(gt.reconstruction(i), want)
 
 
 def test_assemble_zero_factors_gives_zero():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tcmf import (
-    JimfRequest,
+    ObservationSet,
     PerpcaParams,
     generalized_retraction,
     perpca_gradient,
@@ -83,24 +83,24 @@ def test_gradient_lives_in_orthogonal_complement(tiny):
 
 
 def test_solve_tiny_instance_reaches_tolerance(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
-    est = perpca_solve(req, PerpcaParams(step_size=0.1, iterations=2000))
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    est = perpca_solve(obs, PerpcaParams(step_size=0.1, iterations=2000))
     assert tiny.product_error(est) <= 1e-3
     assert est.cross_orthogonality() < 1e-10
 
 
 def test_solve_zero_iterations_returns_corrected_init(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
-    est = perpca_solve(req, PerpcaParams(step_size=0.1, iterations=0))
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    est = perpca_solve(obs, PerpcaParams(step_size=0.1, iterations=0))
     start = spectral_init(tiny.mats, 2, 2)
     assert linf(est.u_g - start.u_g) < 1e-10
     assert est.cross_orthogonality() < 1e-10
 
 
 def test_solve_zero_step_keeps_shared_basis(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     seen = []
-    perpca_solve(req, PerpcaParams(step_size=0.0, iterations=10),
+    perpca_solve(obs, PerpcaParams(step_size=0.0, iterations=10),
                  callback=lambda tau, u_g, u_l: seen.append(u_g.copy()))
     start = spectral_init(tiny.mats, 2, 2)
     for u_g in seen:
@@ -108,7 +108,7 @@ def test_solve_zero_step_keeps_shared_basis(tiny):
 
 
 def test_solve_orthogonality_after_every_iteration(tiny):
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     worst_self = []
     worst_cross = []
 
@@ -118,7 +118,7 @@ def test_solve_orthogonality_after_every_iteration(tiny):
             worst_self.append(linf(ul.T @ ul - np.eye(2)))
             worst_cross.append(linf(u_g.T @ ul))
 
-    est = perpca_solve(req, PerpcaParams(step_size=0.1, iterations=300), callback=cb)
+    est = perpca_solve(obs, PerpcaParams(step_size=0.1, iterations=300), callback=cb)
     assert len(worst_cross) == 300 * 3
     assert max(worst_self) < 1e-6
     assert max(worst_cross) < 1e-6
@@ -129,10 +129,9 @@ def test_solve_warm_start_from_hmf_factors(tiny):
     # near-orthonormal warm starts from the other backend must be accepted
     from tcmf import HmfParams, hmf_solve
 
-    req = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2)
-    rough = hmf_solve(req, HmfParams(step_size=0.01, iterations=50, beta=1e-5))
-    req2 = JimfRequest(matrices=tuple(tiny.mats), r1=2, r2=2, warm_start=rough)
-    est = perpca_solve(req2, PerpcaParams(step_size=0.1, iterations=500))
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    rough = hmf_solve(obs, HmfParams(step_size=0.01, iterations=50, beta=1e-5))
+    est = perpca_solve(obs, PerpcaParams(step_size=0.1, iterations=500), warm_start=rough)
     assert tiny.product_error(est) <= 1e-3
 
 
@@ -175,10 +174,10 @@ def test_gradient_stack_matches_slices_bitwise(tiny):
 def test_solve_matches_per_source_reference(uneven):
     # the loop over sources the solver replaced, built from the public
     # per-source primitives; the arithmetic is the same, so bits must match
-    req = JimfRequest(matrices=tuple(uneven.mats), r1=2, r2=2)
+    obs = ObservationSet(matrices=uneven.mats, r1=2, r2=2)
     params = PerpcaParams(step_size=0.1, iterations=5)
     seen = []
-    perpca_solve(req, params, callback=lambda tau, u_g, u_l: seen.append((u_g, u_l)))
+    perpca_solve(obs, params, callback=lambda tau, u_g, u_l: seen.append((u_g, u_l)))
 
     start = spectral_init(uneven.mats, 2, 2)
     u_g = orth(start.u_g)
