@@ -17,13 +17,14 @@ from .alternating import TcmfConfig, run as run_outer
 from .errors import (
     ConfigurationError,
     CorruptDataError,
+    DimensionError,
     DivergenceError,
     MissingInputError,
     TcmfError,
 )
 from .metrics import recovery_errors
 from .model import assemble_observations, generate, identifiability_report
-from .thresholding import initial_lambda
+from .thresholding import LambdaSchedule, initial_lambda
 
 EXIT_OK = 0
 EXIT_DIVERGED = 2
@@ -61,6 +62,8 @@ def cli_run(config_path, data_dir, trace_out) -> int:
     obs = io.load_observations(data_dir, rc.r1, rc.r2)
     _check_data_matches_config(rc, obs)
     gt = io.load_ground_truth(data_dir, obs.n_sources) if io.has_ground_truth(data_dir) else None
+    if gt is not None:
+        gt.check_fits([m.shape for m in obs.matrices], "ground truth vs the observations")
     if rc.lambda1_mode == "theoretical":
         if gt is None:
             raise MissingInputError("theoretical lambda1 needs ground truth files")
@@ -68,7 +71,7 @@ def cli_run(config_path, data_dir, trace_out) -> int:
     else:
         lam1 = initial_lambda(obs, "data_driven")
     cfg = TcmfConfig(
-        schedule=io.lambda_schedule(rc, lam1),
+        schedule=LambdaSchedule(lambda1=lam1, rho=rc.rho, epsilon=rc.epsilon),
         epochs=rc.epochs,
         params=io.backend_params(rc.backend, rc.step_size, rc.inner_iterations, rc.beta),
         warm_start_policy=rc.warm_start,
@@ -86,14 +89,18 @@ def cli_run(config_path, data_dir, trace_out) -> int:
     return EXIT_OK
 
 
-def cli_check(data_dir) -> int:
+def _ground_truth(data_dir):
     n = io.count_sources(data_dir)
     if not io.has_ground_truth(data_dir):
         raise MissingInputError(f"no ground truth factors under {data_dir}")
-    gt = io.load_ground_truth(data_dir, n)
+    return io.load_ground_truth(data_dir, n)
+
+
+def cli_check(data_dir) -> int:
+    gt = _ground_truth(data_dir)
     report = identifiability_report(gt)
     r = gt.r1 + gt.r2
-    budget = report.theta**2 / (report.mu**4 * r**2 * n**2) if report.mu > 0 and r > 0 else 0.0
+    budget = report.theta**2 / (report.mu**4 * r**2 * gt.n_sources**2) if report.mu > 0 and r > 0 else 0.0
     if report.alpha == 0.0:
         ratio = 0.0
     elif budget == 0.0:
@@ -106,11 +113,12 @@ def cli_check(data_dir) -> int:
 
 
 def cli_metrics(data_dir, out_path=None) -> int:
-    n = io.count_sources(data_dir)
-    if not io.has_ground_truth(data_dir):
-        raise MissingInputError(f"no ground truth factors under {data_dir}")
-    gt = io.load_ground_truth(data_dir, n)
-    est, s_hat = io.load_estimates(data_dir, n)
+    gt = _ground_truth(data_dir)
+    est, s_hat = io.load_estimates(data_dir, gt.n_sources)
+    shapes = [si.shape for si in gt.s]
+    est.check_fits(shapes, "estimates vs the ground truth")
+    if [si.shape for si in s_hat.s] != shapes:
+        raise DimensionError(f"estimated sparse parts do not match the ground truth shapes {shapes}")
     text = io.format_fields(recovery_errors(est, s_hat, gt))
     if out_path is not None:
         Path(out_path).write_text(text)

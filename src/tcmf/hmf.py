@@ -8,7 +8,9 @@ Objective over sources i (beta >= 0):
 
 Each iteration first corrects every source, replacing u_l[i] by its component
 orthogonal to u_g and compensating v_g[i] so the reconstruction is untouched,
-then takes one gradient step per block.  The shared factor moves as the
+then takes one gradient step per block.  The objective and the gradient
+blocks come from jimf._terms, the one kernel that hmf_objective,
+hmf_gradients and kkt_residuals also call.  The shared factor moves as the
 average of the per-source updated copies, accumulated in ascending source
 order.  The solver keeps the sources as stacked arrays (N, n1, w), w the
 widest source, with narrower sources zero-padded: padded columns of the data
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
-from .jimf import ObjectiveTrace, spectral_init
+from .jimf import ObjectiveTrace, _terms, spectral_init
 from .model import FactorEstimate, ObservationSet
 from .numerics import RANK_RTOL, as_matrix
 
@@ -40,63 +42,32 @@ class HmfParams:
             raise ConfigurationError("beta must be nonnegative")
 
 
-def _frob_sq(a) -> float:
-    return float(np.sum(a * a))
-
-
 def hmf_objective(est: FactorEstimate, matrices, beta: float) -> float:
     """Evaluate the objective above at the given estimate."""
-    mats = [as_matrix(m) for m in matrices]
-    gram_g = est.u_g.T @ est.u_g
-    reg_g = 0.5 * beta * _frob_sq(gram_g - np.eye(est.r1))
-    total = 0.0
-    for i, m in enumerate(mats):
-        resid = m - est.reconstruction(i)
-        ul = est.u_l[i]
-        gram_l = ul.T @ ul
-        total += 0.5 * _frob_sq(resid) + reg_g
-        total += 0.5 * beta * _frob_sq(gram_l - np.eye(ul.shape[1]))
-    return total
+    sources = zip(est.v_g, est.u_l, est.v_l, matrices, strict=True)
+    return float(sum(_terms(est.u_g, *factors, as_matrix(m), beta)[0] for *factors, m in sources))
 
 
 def hmf_gradients(est: FactorEstimate, source_index: int, matrix, beta: float):
-    """Gradient blocks (u_g, v_g, u_l, v_l) of the source's term.
-
-    With E = u_g v_g^T + u_l v_l^T - M:
-        d/du_g = E v_g + 2 beta u_g (u_g^T u_g - I)
-        d/dv_g = E^T u_g
-        d/du_l = E v_l + 2 beta u_l (u_l^T u_l - I)
-        d/dv_l = E^T u_l
-    """
-    m = as_matrix(matrix)
-    u_g = est.u_g
-    v_g = est.v_g[source_index]
-    u_l = est.u_l[source_index]
-    v_l = est.v_l[source_index]
-    e = u_g @ v_g.T + u_l @ v_l.T - m
-    g_u_g = e @ v_g + 2.0 * beta * (u_g @ (u_g.T @ u_g - np.eye(u_g.shape[1])))
-    g_v_g = e.T @ u_g
-    g_u_l = e @ v_l + 2.0 * beta * (u_l @ (u_l.T @ u_l - np.eye(u_l.shape[1])))
-    g_v_l = e.T @ u_l
-    return g_u_g, g_v_g, g_u_l, g_v_l
+    """Gradient blocks (u_g, v_g, u_l, v_l) of the source's term, as jimf._terms computes them."""
+    i = source_index
+    return _terms(est.u_g, est.v_g[i], est.u_l[i], est.v_l[i], as_matrix(matrix), beta)[1:]
 
 
-def _check_full_rank(u_g: np.ndarray):
+def _correct_arrays(u_g, v_g, u_l, v_l):
+    # returns (u_l_new, v_g_new); exact identity u_g v_g'^T + u_l' v_l^T ==
+    # u_g v_g^T + u_l v_l^T by construction.  v_g, u_l, v_l may be stacks
+    # (N, ., .) sharing the 2-D u_g.  Raises SingularityError when u_g has
+    # lost column rank.
     if u_g.shape[1] == 0:
-        return
+        return u_l, v_g
     try:
         sv = np.linalg.svd(u_g, compute_uv=False)
     except np.linalg.LinAlgError as err:
         raise SingularityError(f"shared factor has no SVD ({err}); cannot correct") from err
     if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
         raise SingularityError("shared factor lost column rank; cannot correct")
-
-
-def _correct_arrays(u_g, v_g, u_l, v_l):
-    # returns (u_l_new, v_g_new); exact identity u_g v_g'^T + u_l' v_l^T ==
-    # u_g v_g^T + u_l v_l^T by construction.  v_g, u_l, v_l may be stacks
-    # (N, ., .) sharing the 2-D u_g.
-    if u_g.shape[1] == 0 or u_l.shape[-1] == 0:
+    if u_l.shape[-1] == 0:
         return u_l, v_g
     try:
         g = np.linalg.solve(u_g.T @ u_g, u_g.T @ u_l)
@@ -109,7 +80,6 @@ def hmf_correct(est: FactorEstimate, source_index: int) -> FactorEstimate:
     """Restore u_g^T u_l[i] = 0 for one source without moving its
     reconstruction: u_l[i] loses its component along u_g and v_g[i] absorbs
     the matching coefficient shift."""
-    _check_full_rank(est.u_g)
     ul, vg = _correct_arrays(est.u_g, est.v_g[source_index], est.u_l[source_index], est.v_l[source_index])
     v_g = list(est.v_g)
     u_l = list(est.u_l)
@@ -152,14 +122,10 @@ def hmf_solve(
     u_g = start.u_g.copy()
     u_l = np.stack(start.u_l)
     eta = params.step_size
-    beta = params.beta
-    eye_g = np.eye(obs.r1)
-    eye_l = np.eye(obs.r2)
     trace = ObjectiveTrace(objective_out)
 
     for _ in range(params.iterations):
         try:
-            _check_full_rank(u_g)
             u_l, v_g = _correct_arrays(u_g, v_g, u_l, v_l)
         except SingularityError:
             # rank collapse after runaway growth is divergence, not bad input
@@ -167,31 +133,14 @@ def hmf_solve(
             if values and values[-1] > 1e6 * max(values[0], 1e-300):
                 trace.fail("shared factor collapsed while the objective grew")
             raise
-        gram_g = u_g.T @ u_g
-        reg_g_val = 0.5 * beta * _frob_sq(gram_g - eye_g)
-        reg_g_grad = 2.0 * beta * (u_g @ (gram_g - eye_g))
+        objs, g_u_g, g_v_g, g_u_l, g_v_l = _terms(u_g, v_g, u_l, v_l, m_all, params.beta)
+        u_g = (u_g - eta * g_u_g).sum(axis=0) / n
+        v_g = v_g - eta * g_v_g
+        u_l = u_l - eta * g_u_l
+        v_l = v_l - eta * g_v_l
+        # per-source objectives, summed in source order
+        trace.record(sum(objs.tolist()))
 
-        e = u_g @ v_g.swapaxes(-1, -2)
-        e += u_l @ v_l.swapaxes(-1, -2)
-        e -= m_all
-        gram_l = u_l.swapaxes(-1, -2) @ u_l - eye_l
-        # per-source objectives, then summed in source order
-        objs = (
-            0.5 * np.sum(e * e, axis=(1, 2))
-            + reg_g_val
-            + 0.5 * beta * np.sum(gram_l * gram_l, axis=(1, 2))
-        )
-        obj = sum(objs.tolist())
-        cand = u_g - eta * (e @ v_g + reg_g_grad)
-        v_g = v_g - eta * (e.swapaxes(-1, -2) @ u_g)
-        u_l, v_l = (
-            u_l - eta * (e @ v_l + 2.0 * beta * (u_l @ gram_l)),
-            v_l - eta * (e.swapaxes(-1, -2) @ u_l),
-        )
-        u_g = cand.sum(axis=0) / n
-        trace.record(obj)
-
-    _check_full_rank(u_g)
     u_l, v_g = _correct_arrays(u_g, v_g, u_l, v_l)
     return FactorEstimate(
         u_g=u_g,

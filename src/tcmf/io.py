@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .alternating import WARM_START_POLICIES
+from .alternating import WARM_START_POLICIES, EpochTrace
 from .errors import ConfigurationError, CorruptDataError, DimensionError, MissingInputError
 from .hmf import HmfParams
 from .jimf import BACKENDS
 from .model import FactorEstimate, GroundTruth, IdentifiabilityReport, ObservationSet, SynthConfig
 from .numerics import as_matrix
 from .perpca import PerpcaParams
-from .thresholding import LAMBDA1_MODES, LambdaSchedule, SparseEstimate
+from .thresholding import LAMBDA1_MODES, SparseEstimate
 
 MAGIC = b"TCMFMAT1"
 _HEADER = struct.Struct("<8sQQ")
@@ -113,25 +113,33 @@ _CHOICE_KEYS = {
 ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + tuple(_CHOICE_KEYS)
 
 
-def parse_run_config(text: str) -> RunConfig:
-    """Parse key=value lines; blank lines and #-comments are skipped.
-    Unknown, repeated, missing or ill-typed keys are configuration errors, and
-    so are sizes and rank targets SynthConfig rejects."""
+def _parse_key_values(text: str, error, where: str = "", keys=None) -> dict:
+    """key -> value for the key = value lines of text; blank lines and
+    #-comments are skipped.  A line without '=', a repeated key, or a key
+    outside keys (when given) raises error, its message prefixed by where
+    and the line number."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigurationError(f"line {lineno}: expected key=value, got {raw!r}")
+            raise error(f"{where}line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
-        if key not in ALL_KEYS:
-            raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        if keys is not None and key not in keys:
+            raise error(f"{where}line {lineno}: unknown key {key!r}")
         if key in values:
-            raise ConfigurationError(f"line {lineno}: repeated key {key!r}")
-        values[key] = val
+            raise error(f"{where}line {lineno}: repeated key {key!r}")
+        values[key] = val.strip()
+    return values
+
+
+def parse_run_config(text: str) -> RunConfig:
+    """Parse key=value lines; blank lines and #-comments are skipped.
+    Unknown, repeated, missing or ill-typed keys are configuration errors, and
+    so are sizes and rank targets SynthConfig rejects."""
+    values = _parse_key_values(text, ConfigurationError, keys=ALL_KEYS)
     missing = [k for k in ALL_KEYS if k not in values]
     if missing:
         raise ConfigurationError(f"missing keys: {', '.join(missing)}")
@@ -168,16 +176,9 @@ def load_run_config(path) -> RunConfig:
 
 
 def synth_config(rc: RunConfig, seed: int | None = None) -> SynthConfig:
-    return SynthConfig(
-        n_sources=rc.n_sources,
-        n1=rc.n1,
-        n2=rc.n2,
-        r1=rc.r1,
-        r2=rc.r2,
-        noise_prob=rc.noise_prob,
-        noise_magnitude=rc.noise_magnitude,
-        seed=rc.seed if seed is None else seed,
-    )
+    """The SynthConfig fields of rc, with seed overriding rc.seed when given."""
+    values = {f.name: getattr(rc, f.name) for f in fields(SynthConfig)}
+    return SynthConfig(**dict(values, seed=rc.seed if seed is None else seed))
 
 
 def backend_params(backend: str, step_size: float, iterations: int, beta: float):
@@ -187,10 +188,6 @@ def backend_params(backend: str, step_size: float, iterations: int, beta: float)
     if backend == "perpca":
         return PerpcaParams(step_size=step_size, iterations=iterations)
     raise ConfigurationError(f"backend must be one of {BACKENDS}, got {backend!r}")
-
-
-def lambda_schedule(rc: RunConfig, lambda1: float) -> LambdaSchedule:
-    return LambdaSchedule(lambda1=lambda1, rho=rc.rho, epsilon=rc.epsilon)
 
 
 # data directory layout -------------------------------------------------
@@ -241,18 +238,16 @@ def count_sources(directory) -> int:
     directory = Path(directory)
     manifest = directory / MANIFEST_FILE
     if manifest.exists():
-        for raw in manifest.read_text().splitlines():
-            line = raw.strip()
-            if line.startswith("n_sources"):
-                _, _, val = line.partition("=")
-                try:
-                    n = int(val.strip())
-                except ValueError:
-                    raise CorruptDataError(f"{manifest}: bad n_sources value {val!r}")
-                if n < 1:
-                    raise CorruptDataError(f"{manifest}: n_sources must be positive")
-                return n
-        raise CorruptDataError(f"{manifest}: no n_sources line")
+        val = _parse_key_values(manifest.read_text(), CorruptDataError, f"{manifest}: ").get("n_sources")
+        if val is None:
+            raise CorruptDataError(f"{manifest}: no n_sources line")
+        try:
+            n = int(val)
+        except ValueError:
+            raise CorruptDataError(f"{manifest}: bad n_sources value {val!r}")
+        if n < 1:
+            raise CorruptDataError(f"{manifest}: n_sources must be positive")
+        return n
     n = 0
     while _obs_path(directory, n + 1).exists():
         n += 1
@@ -294,36 +289,19 @@ def load_estimates(directory, n_sources: int):
 # trace CSV --------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def format_trace_csv(traces, include_timing: bool | None = None) -> str:
-    """Render epoch traces under the fixed header.  Timing is left blank by
-    default so identical runs produce byte-identical files; set the
-    TCMF_TRACE_TIMING=1 environment variable (or include_timing=True) to
-    record wall times."""
+    """Render epoch traces under the fixed header, one column per EpochTrace
+    field in field order.  Timing is left blank by default so identical runs
+    produce byte-identical files; set the TCMF_TRACE_TIMING=1 environment
+    variable (or include_timing=True) to record wall times."""
     if include_timing is None:
         include_timing = os.environ.get(TIMING_ENV, "") == "1"
+    names = [f.name for f in fields(EpochTrace)]
     lines = [TRACE_HEADER]
     for t in traces:
-        cells = [
-            _cell(t.epoch),
-            _cell(t.lam),
-            _cell(t.linf_g),
-            _cell(t.linf_l),
-            _cell(t.linf_s),
-            _cell(t.log_g),
-            _cell(t.log_l),
-            _cell(t.log_s),
-            _cell(t.support_violations),
-            _cell(t.wall_ms) if include_timing else "",
-        ]
-        lines.append(",".join(cells))
+        values = [getattr(t, n) if include_timing or n != "wall_ms" else None for n in names]
+        # str of a float is its shortest round-trip repr
+        lines.append(",".join("" if v is None else str(v) for v in values))
     return "\n".join(lines) + "\n"
 
 

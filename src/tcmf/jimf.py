@@ -4,6 +4,10 @@ and first-order residuals.
 Backends ("hmf", "perpca") drive a FactorEstimate of an ObservationSet toward
 the least-squares fit, keeping the shared basis u_g orthogonal to each local
 basis u_l[i].
+
+_terms is the one place the regularized least-squares objective and its
+gradient blocks are computed: the hmf solver loop, hmf_objective,
+hmf_gradients and kkt_residuals (at beta = 0) all call it.
 """
 
 from dataclasses import dataclass
@@ -99,13 +103,19 @@ def solve(obs: ObservationSet, params, warm_start: FactorEstimate | None = None)
     PerpcaParams: perpca) for its configured iteration budget, from
     warm_start when given and from spectral_init otherwise.
 
-    Raises ConfigurationError for any other params object, and
+    Raises ConfigurationError for any other params object, DimensionError
+    for a warm start whose ranks or shapes do not fit obs, and
     DivergenceError (with the objective trace attached) under the
     ObjectiveTrace rule.
     """
     from .hmf import HmfParams, hmf_solve
     from .perpca import PerpcaParams, perpca_solve
 
+    if warm_start is not None:
+        ranks = (warm_start.r1, warm_start.r2)
+        if ranks != (obs.r1, obs.r2):
+            raise DimensionError(f"warm start has ranks {ranks}, expected {(obs.r1, obs.r2)}")
+        warm_start.check_fits([m.shape for m in obs.matrices], "warm start vs the observations")
     if isinstance(params, HmfParams):
         return hmf_solve(obs, params, warm_start)
     if isinstance(params, PerpcaParams):
@@ -135,30 +145,52 @@ def renormalize(est: FactorEstimate) -> FactorEstimate:
     return FactorEstimate(u_g=q_g, v_g=v_g, u_l=u_l, v_l=v_l)
 
 
+def _terms(u_g, v_g, u_l, v_l, m, beta):
+    """Objective and gradient blocks (obj, u_g, v_g, u_l, v_l) of one source,
+    or of (N, ., .) stacks of sources sharing the 2-D u_g; obj holds one
+    entry per source.
+
+    With E = u_g v_g^T + u_l v_l^T - M, G_g = u_g^T u_g - I, G_l = u_l^T u_l - I:
+        obj    = 0.5 ||E||^2 + 0.5 beta ||G_g||^2 + 0.5 beta ||G_l||^2
+        d/du_g = E v_g + 2 beta u_g G_g
+        d/dv_g = E^T u_g
+        d/du_l = E v_l + 2 beta u_l G_l
+        d/dv_l = E^T u_l
+    """
+    gram_g = u_g.T @ u_g - np.eye(u_g.shape[1])
+    gram_l = u_l.swapaxes(-1, -2) @ u_l - np.eye(u_l.shape[-1])
+    e = u_g @ v_g.swapaxes(-1, -2)
+    e += u_l @ v_l.swapaxes(-1, -2)
+    e -= m
+    reg_l = 0.5 * beta * np.sum(gram_l * gram_l, axis=(-2, -1))
+    obj = 0.5 * np.sum(e * e, axis=(-2, -1)) + 0.5 * beta * np.sum(gram_g * gram_g) + reg_l
+    g_u_g = e @ v_g + 2.0 * beta * (u_g @ gram_g)
+    g_u_l = e @ v_l + 2.0 * beta * (u_l @ gram_l)
+    e_t = e.swapaxes(-1, -2)
+    return obj, g_u_g, e_t @ u_g, g_u_l, e_t @ u_l
+
+
 def kkt_residuals(est: FactorEstimate, matrices) -> KktResidualReport:
     """First-order residuals of the constrained least-squares problem.
 
     The estimate is renormalized first so the multiplier-free stationarity
-    conditions apply: with D_i = L_i - M_i, the blocks are sum_i D_i v_g[i]
-    (shared), D_i v_l[i], D_i^T u_l[i] and D_i^T u_g per source, plus the
-    worst violation among u_g^T u_g = I, u_l^T u_l = I and u_l^T u_g = 0.
+    conditions apply: the blocks are the beta = 0 gradients of _terms, the
+    u_g block summed over sources (r_vg) and the u_l, v_g and v_l blocks per
+    source (r_vl, r_ug, r_ul, worst source), plus the worst violation among
+    u_g^T u_g = I, u_l^T u_l = I and u_l^T u_g = 0.
     """
     mats = [as_matrix(m) for m in matrices]
     if len(mats) != est.n_sources:
         raise DimensionError("estimate and data have different source counts")
     est = renormalize(est)
-    eye_g = np.eye(est.r1)
-    shared = None
-    r_vl = r_ug = r_ul = r_orth = 0.0
-    r_orth = linf(est.u_g.T @ est.u_g - eye_g)
-    for i, m in enumerate(mats):
-        d = est.reconstruction(i) - m
-        contrib = d @ est.v_g[i]
-        shared = contrib if shared is None else shared + contrib
-        r_vl = max(r_vl, float(np.linalg.norm(d @ est.v_l[i])))
-        r_ul = max(r_ul, float(np.linalg.norm(d.T @ est.u_l[i])))
-        r_ug = max(r_ug, float(np.linalg.norm(d.T @ est.u_g)))
-        ul = est.u_l[i]
+    grads = [_terms(est.u_g, est.v_g[i], est.u_l[i], est.v_l[i], m, 0.0)[1:] for i, m in enumerate(mats)]
+    r_orth = linf(est.u_g.T @ est.u_g - np.eye(est.r1))
+    for ul in est.u_l:
         r_orth = max(r_orth, linf(ul.T @ ul - np.eye(ul.shape[1])), linf(ul.T @ est.u_g))
-    r_vg = float(np.linalg.norm(shared)) if shared is not None else 0.0
-    return KktResidualReport(r_vg=r_vg, r_vl=r_vl, r_ug=r_ug, r_ul=r_ul, r_orth=r_orth)
+    return KktResidualReport(
+        r_vg=float(np.linalg.norm(sum(g[0] for g in grads))),
+        r_vl=max(float(np.linalg.norm(g[2])) for g in grads),
+        r_ug=max(float(np.linalg.norm(g[1])) for g in grads),
+        r_ul=max(float(np.linalg.norm(g[3])) for g in grads),
+        r_orth=r_orth,
+    )

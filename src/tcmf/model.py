@@ -53,6 +53,25 @@ class FactorEstimate:
     u_l: list
     v_l: list
 
+    def __post_init__(self):
+        n = len(self.v_g)
+        if n == 0 or len(self.u_l) != n or len(self.v_l) != n:
+            raise DimensionError("need at least one source, each with v_g, u_l and v_l")
+        if any(np.ndim(a) != 2 for a in (self.u_g, *self.v_g, *self.u_l, *self.v_l)):
+            raise DimensionError("every factor must be a matrix")
+        (n1, r1), r2 = self.u_g.shape, self.u_l[0].shape[1]
+        for i, (vg, ul, vl) in enumerate(zip(self.v_g, self.u_l, self.v_l), start=1):
+            if ul.shape != (n1, r2) or vg.shape[1] != r1 or vl.shape != (vg.shape[0], r2):
+                shapes = f"u_l {ul.shape}, v_g {vg.shape}, v_l {vl.shape}"
+                raise DimensionError(f"source {i}: {shapes} do not fit u_g {(n1, r1)}")
+
+    def check_fits(self, shapes: list, what: str):
+        """Raise DimensionError, naming what, unless source i reconstructs
+        to an array of shape shapes[i]."""
+        got = [(self.u_g.shape[0], vg.shape[0]) for vg in self.v_g]
+        if got != shapes:
+            raise DimensionError(f"{what}: factors reconstruct to shapes {got}, expected {shapes}")
+
     @property
     def n_sources(self) -> int:
         return len(self.v_g)
@@ -81,6 +100,10 @@ class GroundTruth(FactorEstimate):
     """True factors plus the sparse noise s[i] of every source."""
 
     s: list
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.check_fits([np.shape(si) for si in self.s], "ground truth vs its sparse noise")
 
 
 @dataclass(frozen=True)

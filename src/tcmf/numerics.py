@@ -38,10 +38,7 @@ def as_matrix(a) -> np.ndarray:
 
 def linf(a) -> float:
     """Largest absolute entry; 0 for empty arrays."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.max(np.abs(a), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, SingularityError
-from .jimf import ObjectiveTrace, spectral_init
+from .jimf import ObjectiveTrace, renormalize, spectral_init
 from .model import FactorEstimate, ObservationSet
 from .numerics import as_matrix, as_stack, inv_sqrt_psd, sign_fixed_qr
 
@@ -110,10 +110,10 @@ def perpca_solve(
     coefficients are read off.
     """
     mats = [as_matrix(m) for m in obs.matrices]
-    start = warm_start if warm_start is not None else spectral_init(mats, obs.r1, obs.r2)
     # warm starts from other backends are only near-orthonormal
-    u_g = sign_fixed_qr(start.u_g)[0]
-    u_l = np.stack([sign_fixed_qr(ul - u_g @ (u_g.T @ ul))[0] for ul in start.u_l])
+    start = renormalize(warm_start if warm_start is not None else spectral_init(mats, obs.r1, obs.r2))
+    u_g = start.u_g
+    u_l = np.stack(start.u_l)
     n = len(mats)
     r1 = obs.r1
     covs = np.stack([m @ m.T for m in mats])

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from tcmf import io
+from tcmf import SparseEstimate, io
 from tcmf.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CORRUPT,
@@ -274,6 +274,50 @@ class TestFailureExitCodes:
             main(["run", "--help"])
         assert info.value.code == EXIT_OK
         assert "--config" in capsys.readouterr().out
+
+
+class TestMisshapedFactorFiles:
+    """Factor files whose shapes disagree are invalid data (65), not a crash."""
+
+    def test_wrong_size_shared_factor_exits_65(self, tmp_path, capsys):
+        cfg, out = synth(tmp_path)
+        io.write_matrix(out / "U_G.mat", np.eye(3))
+        trace = tmp_path / "trace.csv"
+        assert main(["check", "--data", str(out)]) == EXIT_CORRUPT
+        assert main(["run", "--config", str(cfg), "--data", str(out),
+                     "--out", str(trace)]) == EXIT_CORRUPT
+        assert not trace.exists()
+        assert capsys.readouterr().err.count("invalid data:") == 2
+
+    def test_ground_truth_with_other_row_count_exits_65(self, tmp_path, capsys):
+        cfg, out = synth(tmp_path)
+        _, tall = synth(tmp_path, name="tall", n1="12")
+        for path in tall.glob("*.mat"):
+            if not path.name.startswith("M_"):
+                (out / path.name).write_bytes(path.read_bytes())
+        # the 12-row ground truth is consistent on its own
+        assert io.load_ground_truth(out, int(BASE_CONFIG["n_sources"])).u_g.shape == (12, 2)
+        trace = tmp_path / "trace.csv"
+        assert main(["run", "--config", str(cfg), "--data", str(out),
+                     "--out", str(trace)]) == EXIT_CORRUPT
+        assert not trace.exists()
+        assert "ground truth vs the observations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shapes", [
+        {"EST_V_G_2.mat": (20, 2)},
+        {"EST_V_G_2.mat": (20, 2), "EST_V_L_2.mat": (20, 2)},
+        {"EST_S_2.mat": (10, 20)},
+    ], ids=["v_g", "v_g_and_v_l", "s"])
+    def test_wrong_shape_estimates_exit_65(self, tmp_path, capsys, shapes):
+        _, out = synth(tmp_path)
+        gt = io.load_ground_truth(out, int(BASE_CONFIG["n_sources"]))
+        io.save_estimates(out, gt, SparseEstimate.from_matrices(gt.s))
+        assert main(["metrics", "--data", str(out)]) == EXIT_OK
+        for name, shape in shapes.items():
+            io.write_matrix(out / "estimates" / name, np.ones(shape))
+        capsys.readouterr()
+        assert main(["metrics", "--data", str(out)]) == EXIT_CORRUPT
+        assert "invalid data:" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,28 @@ def test_count_sources_manifest_override(tmp_path):
         count_sources(tmp_path)
 
 
+def test_count_sources_manifest_key_matches_exactly(tmp_path):
+    make_dataset(tmp_path, n_sources=3)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("n_sources_total = 2\n")
+    with pytest.raises(CorruptDataError, match="no n_sources line"):
+        count_sources(tmp_path)
+    manifest.write_text("# pinned\nn_sources_total = 3\n\nn_sources = 2\n")
+    assert count_sources(tmp_path) == 2
+    manifest.write_text("n_sources = 2\nn_sources = 3\n")
+    with pytest.raises(CorruptDataError, match="line 2: repeated key 'n_sources'"):
+        count_sources(tmp_path)
+
+
+def test_parse_run_config_errors_name_the_line():
+    with pytest.raises(ConfigurationError, match="line 20: repeated key 'n1'"):
+        parse_run_config(VALID_CONFIG + "n1 = 11\n")
+    with pytest.raises(ConfigurationError, match="line 20: unknown key 'mystery'"):
+        parse_run_config(VALID_CONFIG + "mystery = 1\n")
+    with pytest.raises(ConfigurationError, match="line 20: expected key=value"):
+        parse_run_config(VALID_CONFIG + "dangling\n")
+
+
 def test_count_sources_empty_dir(tmp_path):
     with pytest.raises(MissingInputError):
         count_sources(tmp_path)
@@ -230,6 +254,11 @@ def test_trace_csv_header_and_cells():
     second = lines[2].split(",")
     assert second[2:9] == [""] * 7  # no ground-truth columns
     assert len(first) == len(TRACE_HEADER.split(","))
+
+
+def test_trace_header_columns_are_epoch_trace_fields():
+    names = [f.name for f in fields(EpochTrace)]
+    assert TRACE_HEADER.split(",") == ["lambda" if n == "lam" else n for n in names]
 
 
 def test_trace_csv_timing_flag_and_env(tmp_path, monkeypatch):

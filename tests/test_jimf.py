@@ -10,6 +10,7 @@ from tcmf import (
     HmfParams,
     ObservationSet,
     PerpcaParams,
+    hmf_gradients,
     hmf_solve,
     kkt_residuals,
     perpca_solve,
@@ -260,3 +261,44 @@ def test_kkt_residuals_random_estimate_positive(tiny):
     est = random_estimate(rng, 10, [20, 20, 20], 2, 2)
     rep = kkt_residuals(est, tiny.mats)
     assert min(rep.r_vg, rep.r_vl, rep.r_ug, rep.r_ul) > 0.0
+
+
+@pytest.mark.parametrize("instance,start", [
+    ("tiny", "spectral"), ("uneven", "spectral"), ("tiny", "random"), ("uneven", "random"),
+])
+def test_kkt_residuals_are_the_beta_zero_gradient_norms(request, instance, start):
+    # the KKT report and hmf_gradients share one kernel, so each block agrees bit for bit
+    inst = request.getfixturevalue(instance)
+    if start == "spectral":
+        est = spectral_init(inst.mats, 2, 2)
+    else:
+        rng = np.random.default_rng(31)
+        est = random_estimate(rng, inst.mats[0].shape[0], [m.shape[1] for m in inst.mats], 2, 2)
+    rep = kkt_residuals(est, inst.mats)
+    fixed = renormalize(est)
+    grads = [hmf_gradients(fixed, i, m, 0.0) for i, m in enumerate(inst.mats)]
+    shared = grads[0][0]
+    for g in grads[1:]:
+        shared = shared + g[0]
+    assert rep.r_vg == float(np.linalg.norm(shared))
+    assert rep.r_ug == max(float(np.linalg.norm(g[1])) for g in grads)
+    assert rep.r_vl == max(float(np.linalg.norm(g[2])) for g in grads)
+    assert rep.r_ul == max(float(np.linalg.norm(g[3])) for g in grads)
+
+
+@pytest.mark.parametrize("params", [
+    HmfParams(step_size=0.01, iterations=5, beta=1e-5),
+    PerpcaParams(step_size=0.1, iterations=5),
+], ids=["hmf", "perpca"])
+@pytest.mark.parametrize("n1,widths,r1,r2", [
+    (10, [20, 20, 20], 2, 1),  # local rank
+    (10, [20, 20, 20], 1, 2),  # shared rank
+    (12, [20, 20, 20], 2, 2),  # rows
+    (10, [20, 21, 20], 2, 2),  # one source's width
+    (10, [20, 20], 2, 2),  # source count
+], ids=["r2", "r1", "n1", "width", "sources"])
+def test_solve_rejects_misshaped_warm_start(tiny, params, n1, widths, r1, r2):
+    warm = random_estimate(np.random.default_rng(37), n1, widths, r1, r2)
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    with pytest.raises(DimensionError, match="warm start"):
+        solve(obs, params, warm_start=warm)

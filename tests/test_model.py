@@ -96,6 +96,38 @@ def test_ground_truth_is_a_factor_estimate():
         assert np.array_equal(gt.reconstruction(i), want)
 
 
+def _factor_parts(**overrides):
+    # one consistent two-source set: n1 = 5, widths 8 and 6, r1 = 2, r2 = 1
+    z = np.zeros
+    parts = dict(u_g=z((5, 2)), v_g=[z((8, 2)), z((6, 2))], u_l=[z((5, 1)), z((5, 1))],
+                 v_l=[z((8, 1)), z((6, 1))])
+    parts.update(overrides)
+    return parts
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(v_g=[], u_l=[], v_l=[]),
+    dict(v_l=[np.zeros((8, 1))]),
+    dict(u_g=np.zeros((4, 2))),
+    dict(u_l=[np.zeros((5, 1)), np.zeros((5, 2))]),
+    dict(v_g=[np.zeros((8, 2)), np.zeros((6, 3))]),
+    dict(v_l=[np.zeros((8, 1)), np.zeros((7, 1))]),
+    dict(u_g=np.zeros(5)),
+], ids=["no_sources", "list_lengths", "u_g_rows", "u_l_rank", "v_g_rank", "v_l_rows", "u_g_1d"])
+def test_factor_estimate_rejects_inconsistent_shapes(overrides):
+    FactorEstimate(**_factor_parts())
+    with pytest.raises(DimensionError):
+        FactorEstimate(**_factor_parts(**overrides))
+
+
+def test_ground_truth_checks_sparse_part_shapes():
+    GroundTruth(**_factor_parts(), s=[np.zeros((5, 8)), np.zeros((5, 6))])
+    z = np.zeros
+    for s in ([z((5, 8)), z((5, 7))], [z((6, 8)), z((6, 6))], [z((5, 8))]):
+        with pytest.raises(DimensionError):
+            GroundTruth(**_factor_parts(), s=s)
+
+
 def test_assemble_zero_factors_gives_zero():
     z = np.zeros
     gt = GroundTruth(u_g=z((5, 2)), v_g=[z((8, 2))], u_l=[z((5, 1))],
