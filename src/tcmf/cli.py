@@ -98,6 +98,8 @@ def _ground_truth(data_dir):
 
 def cli_check(data_dir) -> int:
     gt = _ground_truth(data_dir)
+    obs = io.load_observations(data_dir, gt.r1, gt.r2)
+    gt.check_fits([m.shape for m in obs.matrices], "ground truth vs the observations")
     report = identifiability_report(gt)
     r = gt.r1 + gt.r2
     budget = report.theta**2 / (report.mu**4 * r**2 * gt.n_sources**2) if report.mu > 0 and r > 0 else 0.0

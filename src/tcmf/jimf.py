@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError, SingularityError
 from .model import FactorEstimate, ObservationSet
-from .numerics import as_matrix, linf, sign_fixed_qr, truncated_svd
+from .numerics import RANK_RTOL, as_matrix, linf, sign_fixed_qr, top_eigenvectors
 
-INIT_RANK_TOL = 1e-12
 DIVERGENCE_WINDOW = 50
 
 BACKENDS = ("hmf", "perpca")
@@ -73,28 +72,31 @@ class ObjectiveTrace:
 
 
 def spectral_init(matrices, r1: int, r2: int) -> FactorEstimate:
-    """Initialize factors from the data spectrum.
+    """Initialize factors from the data spectrum, working only on the n1 x n1
+    Gram stack C_i = M_i M_i^T.
 
-    u_g comes from the top r1 left singular vectors of the column-wise
-    concatenation of all sources; u_l[i] from the top r2 left singular
-    vectors of source i after projecting out u_g; the v factors are the
-    corresponding coefficient matrices.
+    u_g holds the top r1 eigenvectors of sum_i C_i (the top left singular
+    vectors of the concatenation [M_1 ... M_N]); u_l[i] the top r2
+    eigenvectors of P C_i P with P = I - u_g u_g^T (those of source i after
+    projecting out u_g).  Columns are signed by truncated_svd's rule, and the
+    v factors are the coefficient matrices M_i^T u.
+
+    Raises SingularityError when the data has numerical rank below r1: the
+    singular values sigma_j = ||[M_1 ... M_N]^T u_g[:, j]|| (column norms of
+    the stacked v_g) are all zero or sigma_r1 <= RANK_RTOL * sigma_1.
     """
     mats = [as_matrix(m) for m in matrices]
     if not mats:
         raise DimensionError("need at least one matrix")
-    concat = np.hstack(mats)
-    top = truncated_svd(concat, r1)
-    if r1 > 0 and top.sigma[-1] <= INIT_RANK_TOL:
+    grams = np.stack([m @ m.T for m in mats])
+    u_g = top_eigenvectors(grams.sum(axis=0), r1)
+    v_g = [m.T @ u_g for m in mats]
+    sigma = np.linalg.norm(np.concatenate(v_g), axis=0)
+    if r1 > 0 and (sigma[0] == 0.0 or sigma[-1] <= RANK_RTOL * sigma[0]):
         raise SingularityError("concatenated data has numerical rank below r1")
-    u_g = top.u
-    v_g, u_l, v_l = [], [], []
-    for m in mats:
-        deflated = m - u_g @ (u_g.T @ m)
-        ul = truncated_svd(deflated, r2).u
-        u_l.append(ul)
-        v_g.append(m.T @ u_g)
-        v_l.append(m.T @ ul)
+    p = np.eye(u_g.shape[0]) - u_g @ u_g.T
+    u_l = list(top_eigenvectors(p @ grams @ p, r2))
+    v_l = [m.T @ ul for m, ul in zip(mats, u_l)]
     return FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, DimensionError
-from .numerics import as_matrix, linf, projection_onto, sign_fixed_qr, truncated_svd
+from .numerics import ThinSVD, as_matrix, linf, projection_onto, sign_fixed_qr, truncated_svd
 
 INCOHERENCE_ORTHO_TOL = 1e-8
 SIGMA_NONZERO_RTOL = 1e-12
@@ -228,20 +228,23 @@ def identifiability_report(gt: GroundTruth) -> IdentifiabilityReport:
     alpha is the worst sparsity over sources, mu the worst incoherence over
     the singular-vector factors of every low-rank product, theta the local
     subspace misalignment, sigma_max/sigma_min the extreme nonzero singular
-    values across all low-rank components.
+    values across all low-rank components.  No product u v^T is formed:
+    with thin QRs u = Q_u R_u, v = Q_v R_v (neither need be orthonormal),
+    its singular triplets are those of the core R_u R_v^T, with the vectors
+    mapped back through Q_u and Q_v.
     """
     alpha = max((measure_sparsity(si) for si in gt.s), default=0.0)
     mus = []
     sigmas = []
     for i in range(gt.n_sources):
-        parts = (
-            (gt.u_g @ gt.v_g[i].T, gt.r1),
-            (gt.u_l[i] @ gt.v_l[i].T, gt.r2),
-        )
-        for prod, rank in parts:
+        for u, v in ((gt.u_g, gt.v_g[i]), (gt.u_l[i], gt.v_l[i])):
+            rank = u.shape[1]
             if rank == 0:
                 continue
-            svd = truncated_svd(prod, rank)
+            (q_u, r_u), (q_v, r_v) = np.linalg.qr(u), np.linalg.qr(v)
+            # the core is min(n1, rank) x min(n2, rank): a rank above min(n1, n2) raises
+            core = truncated_svd(r_u @ r_v.T, rank)
+            svd = ThinSVD(u=q_u @ core.u, sigma=core.sigma, v=q_v @ core.v)
             mus.append(measure_incoherence(svd.u))
             mus.append(measure_incoherence(svd.v))
             sigmas.extend(svd.sigma.tolist())

@@ -80,15 +80,25 @@ def truncated_svd(m, k: int) -> ThinSVD:
     if not 0 <= k <= min(m.shape):
         raise DimensionError(f"k={k} out of range for shape {m.shape}")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    u = u[:, :k].copy()
-    s = s[:k].copy()
-    v = vt[:k].T.copy()
-    for j in range(k):
-        pivot = int(np.argmax(np.abs(u[:, j])))
-        if u[pivot, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return ThinSVD(u=u, sigma=s, v=v)
+    signs = _pivot_signs(u[:, :k])
+    return ThinSVD(u=u[:, :k] * signs, sigma=s[:k], v=vt[:k].T * signs)
+
+
+def top_eigenvectors(c, k: int) -> np.ndarray:
+    """Top-k eigenvectors, in descending eigenvalue order, of a symmetric
+    matrix or of every matrix in a stack (..., n, n), signed by
+    truncated_svd's rule."""
+    u = np.linalg.eigh(c)[1][..., ::-1][..., :k]
+    return u * _pivot_signs(u)
+
+
+def _pivot_signs(u) -> np.ndarray:
+    # +-1 per column of u (..., n, k) that makes its largest-magnitude entry
+    # (the first one on ties) positive
+    if u.shape[-2] == 0:
+        return np.ones(u.shape[-1])
+    pivot = np.take_along_axis(u, np.argmax(np.abs(u), axis=-2)[..., None, :], axis=-2)
+    return np.where(pivot < 0, -1.0, 1.0)
 
 
 def sign_fixed_qr(a) -> tuple:

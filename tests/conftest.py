@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tcmf import FactorEstimate
+from tcmf import FactorEstimate, truncated_svd
 
 
 def orth(a):
@@ -79,4 +79,18 @@ def random_estimate(rng, n1, n2_list, r1, r2) -> FactorEstimate:
         v_g=[rng.standard_normal((n2, r1)) for n2 in n2_list],
         u_l=[rng.standard_normal((n1, r2)) for _ in n2_list],
         v_l=[rng.standard_normal((n2, r2)) for n2 in n2_list],
+    )
+
+
+def svd_spectral_init(mats, r1, r2) -> FactorEstimate:
+    """The spectral start as dense SVDs: u_g from the column-wise
+    concatenation of the sources, u_l[i] from source i deflated against u_g,
+    and v = M^T u."""
+    u_g = truncated_svd(np.hstack(mats), r1).u
+    u_l = [truncated_svd(m - u_g @ (u_g.T @ m), r2).u for m in mats]
+    return FactorEstimate(
+        u_g=u_g,
+        v_g=[m.T @ u_g for m in mats],
+        u_l=u_l,
+        v_l=[m.T @ ul for m, ul in zip(mats, u_l)],
     )

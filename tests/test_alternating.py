@@ -5,6 +5,7 @@ from tcmf import (
     HmfParams,
     LambdaSchedule,
     ObservationSet,
+    PerpcaParams,
     SynthConfig,
     TcmfConfig,
     assemble_observations,
@@ -166,3 +167,28 @@ def test_rpca_baseline_diagonal_spikes_residual_decays():
 def test_rpca_baseline_epoch_validation():
     with pytest.raises(ConfigurationError):
         rpca_baseline(np.ones((3, 3)), 1, LambdaSchedule(1.0, 0.5, 0.0), epochs=0)
+
+
+@pytest.mark.parametrize("params", [
+    HmfParams(step_size=5e-3, iterations=20, beta=1e-5),
+    PerpcaParams(step_size=0.1, iterations=20),
+], ids=["hmf", "perpca"])
+def test_spectral_work_stays_at_the_size_of_the_answer(monkeypatch, params):
+    # every SVD of a run, identifiability report included, decomposes an
+    # operand with at most r1 + r2 rows or columns: no dense n1 x n2 (or
+    # n1 x N n2) matrix is ever decomposed
+    gt = generate(SynthConfig(n_sources=3, n1=12, n2=40, r1=2, r2=2,
+                              noise_prob=0.02, noise_magnitude=50.0, seed=4))
+    obs = assemble_observations(gt)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    lam1 = initial_lambda(obs, "theoretical", identifiability_report(gt))
+    run(obs, tiny_cfg(lam1, epochs=2, params=params, warm_start_policy="fresh_spectral"), gt)
+    assert shapes
+    assert max(min(shape[-2:]) for shape in shapes) <= obs.r1 + obs.r2

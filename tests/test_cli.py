@@ -303,6 +303,16 @@ class TestMisshapedFactorFiles:
         assert not trace.exists()
         assert "ground truth vs the observations" in capsys.readouterr().err
 
+    def test_check_rejects_ground_truth_with_other_row_count(self, tmp_path, capsys):
+        _, out = synth(tmp_path)
+        _, tall = synth(tmp_path, name="tall", n1="12")
+        for path in tall.glob("*.mat"):
+            if not path.name.startswith("M_"):
+                (out / path.name).write_bytes(path.read_bytes())
+        capsys.readouterr()
+        assert main(["check", "--data", str(out)]) == EXIT_CORRUPT
+        assert "ground truth vs the observations" in capsys.readouterr().err
+
     @pytest.mark.parametrize("shapes", [
         {"EST_V_G_2.mat": (20, 2)},
         {"EST_V_G_2.mat": (20, 2), "EST_V_L_2.mat": (20, 2)},

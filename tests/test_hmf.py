@@ -14,7 +14,7 @@ from tcmf import (
 from tcmf.errors import ConfigurationError, DivergenceError
 from tcmf.numerics import linf
 
-from conftest import orth, random_estimate
+from conftest import orth, random_estimate, svd_spectral_init
 
 
 def test_params_validation():
@@ -192,10 +192,13 @@ def test_solve_objective_nonincreasing(tiny):
     ids=["overflow", "rising", "collapse", "singular"],
 )
 def test_solve_divergence_carries_trace(tiny, step, reason, length):
+    # these runs diverge from an exact optimum through round-off, so they
+    # start from the dense-SVD spectral start whose round-off they pin
     obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    start = svd_spectral_init(tiny.mats, 2, 2)
     out = []
     with pytest.raises(DivergenceError, match=reason) as info:
-        hmf_solve(obs, HmfParams(step_size=step, iterations=500, beta=1e-5), objective_out=out)
+        hmf_solve(obs, HmfParams(step_size=step, iterations=500, beta=1e-5), start, objective_out=out)
     trace = info.value.objective_trace
     assert trace == out
     assert len(trace) == length

@@ -23,7 +23,7 @@ from tcmf.errors import ConfigurationError, DimensionError, DivergenceError, Sin
 from tcmf.jimf import DIVERGENCE_WINDOW, ObjectiveTrace
 from tcmf.numerics import linf
 
-from conftest import TinyInstance, orth, random_estimate
+from conftest import TinyInstance, orth, random_estimate, svd_spectral_init
 
 
 def test_request_validation(tiny, uneven):
@@ -103,7 +103,7 @@ def test_spectral_init_single_source_matches_svd():
     rng = np.random.default_rng(5)
     m = orth(rng.standard_normal((10, 2))) @ rng.standard_normal((20, 2)).T
     est = spectral_init([m], 2, 0)
-    assert np.array_equal(est.u_g, truncated_svd(m, 2).u)
+    assert np.allclose(est.u_g, truncated_svd(m, 2).u, rtol=0, atol=1e-12)
     assert est.u_l[0].shape == (10, 0)
 
 
@@ -117,6 +117,46 @@ def test_spectral_init_deflation_orthogonality(tiny):
 def test_spectral_init_rejects_zero_matrices():
     with pytest.raises(SingularityError):
         spectral_init([np.zeros((5, 8)), np.zeros((5, 8))], 1, 1)
+
+
+def _spans(est):
+    return [est.u_g @ est.u_g.T] + [ul @ ul.T for ul in est.u_l] + est.reconstructions()
+
+
+@pytest.mark.parametrize("instance", ["tiny", "uneven"])
+def test_spectral_init_spans_match_svd_route(request, instance):
+    # these instances have repeated singular values, so only the spans and
+    # the reconstructions are unique, not the bases
+    mats = request.getfixturevalue(instance).mats
+    got, want = spectral_init(mats, 2, 2), svd_spectral_init(mats, 2, 2)
+    for a, b in zip(_spans(got), _spans(want)):
+        assert np.allclose(a, b, rtol=0, atol=1e-10)
+
+
+def test_spectral_init_factors_match_svd_route_at_wide_shape():
+    gt = tcmf.generate(tcmf.SynthConfig(20, 100, 1000, 3, 3, noise_prob=0.01, noise_magnitude=100.0, seed=0))
+    mats = tcmf.assemble_observations(gt).matrices
+    got, want = spectral_init(mats, 3, 3), svd_spectral_init(mats, 3, 3)
+    assert np.allclose(got.u_g, want.u_g, rtol=0, atol=1e-10)
+    for name in ("v_g", "u_l", "v_l"):
+        for a, b in zip(getattr(got, name), getattr(want, name)):
+            assert np.allclose(a, b, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-3, 1.0, 1e3])
+def test_spectral_init_rank_check_is_relative(scale):
+    rng = np.random.default_rng(41)
+    a, b = rng.standard_normal((15, 1)), rng.standard_normal((100, 1))
+    with pytest.raises(SingularityError, match="rank below r1"):
+        spectral_init([scale * a @ b.T, 2 * scale * a @ b.T], 2, 0)
+
+
+def test_spectral_init_accepts_small_but_genuine_second_direction():
+    rng = np.random.default_rng(43)
+    u, v = orth(rng.standard_normal((15, 2))), orth(rng.standard_normal((100, 2)))
+    m = (u * [1.0, 1e-7]) @ v.T
+    est = spectral_init([m], 2, 0)
+    assert np.linalg.norm(m.T @ est.u_g, axis=0) == pytest.approx([1.0, 1e-7], rel=1e-6)
 
 
 @pytest.mark.parametrize("params", [

@@ -12,6 +12,7 @@ from tcmf import (
     measure_incoherence,
     measure_misalignment,
     measure_sparsity,
+    truncated_svd,
 )
 from tcmf.errors import ConfigurationError, ContractViolationError, DimensionError, SingularityError
 
@@ -223,6 +224,39 @@ def test_identifiability_report_alpha_recount():
     gt = generate(small_cfg(noise_prob=0.05))
     rep = identifiability_report(gt)
     assert rep.alpha == max(measure_sparsity(s) for s in gt.s)
+
+
+def dense_identifiability(gt):
+    """alpha, theta, mu, sigma_max and sigma_min, with mu and sigma from a
+    full SVD of every dense product."""
+    mus, sigmas = [], []
+    for i in range(gt.n_sources):
+        for u, v in ((gt.u_g, gt.v_g[i]), (gt.u_l[i], gt.v_l[i])):
+            svd = truncated_svd(u @ v.T, u.shape[1])
+            mus += [measure_incoherence(svd.u), measure_incoherence(svd.v)]
+            sigmas += svd.sigma.tolist()
+    alpha = max(measure_sparsity(s) for s in gt.s)
+    return alpha, measure_misalignment(gt.u_l), max(mus), max(sigmas), min(sigmas)
+
+
+@pytest.mark.parametrize("u_scale", [1.0, 3.0], ids=["orthonormal", "scaled"])
+def test_identifiability_report_matches_dense_products(u_scale):
+    gt = generate(small_cfg(n_sources=5, n1=20, n2=60, r1=3, r2=2))
+    gt = GroundTruth(u_g=u_scale * gt.u_g, v_g=gt.v_g, u_l=[u_scale * u for u in gt.u_l],
+                     v_l=gt.v_l, s=gt.s)
+    got = identifiability_report(gt)
+    alpha, theta, mu, sigma_max, sigma_min = dense_identifiability(gt)
+    assert (got.alpha, got.theta) == (alpha, theta)
+    assert got.mu == pytest.approx(mu, rel=1e-10)
+    assert got.sigma_max == pytest.approx(sigma_max, rel=1e-10)
+    assert got.sigma_min == pytest.approx(sigma_min, rel=1e-10)
+
+
+def test_identifiability_report_rejects_rank_above_the_product_size():
+    gt = GroundTruth(u_g=np.eye(3), v_g=[np.ones((2, 3))], u_l=[np.zeros((3, 0))],
+                     v_l=[np.zeros((2, 0))], s=[np.zeros((3, 2))])
+    with pytest.raises(DimensionError, match="out of range"):
+        identifiability_report(gt)
 
 
 def test_identifiability_report_single_source_theta_zero():

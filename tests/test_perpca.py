@@ -10,6 +10,7 @@ from tcmf import (
     spectral_init,
 )
 from tcmf.errors import ConfigurationError, ContractViolationError, DimensionError, SingularityError
+from tcmf import perpca
 from tcmf.numerics import linf
 from tcmf.perpca import _lambda_max
 
@@ -195,3 +196,31 @@ def test_solve_matches_per_source_reference(uneven):
         assert np.array_equal(got_g, u_g)
         for a, b in zip(got_l, u_l):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("instance", ["tiny", "uneven"])
+def test_objective_is_the_variance_outside_the_bases(request, monkeypatch, instance):
+    # the solver records trace(S_i) - sum(U_i * S_i U_i); rebuild the
+    # projector form sum_i trace(K_i S_i K_i) from the bases it reports.
+    # r2 = 1 leaves one local direction of every source outside the fit, so
+    # the objective stays far from zero and a relative check means something
+    mats = request.getfixturevalue(instance).mats
+    recorded, bases = [], []
+
+    class Recording(perpca.ObjectiveTrace):
+        def record(self, obj):
+            recorded.append(obj)
+            super().record(obj)
+
+    monkeypatch.setattr(perpca, "ObjectiveTrace", Recording)
+    obs = ObservationSet(matrices=mats, r1=2, r2=1)
+    perpca_solve(obs, PerpcaParams(step_size=0.1, iterations=30),
+                 callback=lambda tau, u_g, u_l: bases.append((u_g.copy(), [u.copy() for u in u_l])))
+    assert len(recorded) == len(bases) == 30
+    for obj, (u_g, u_l) in zip(recorded, bases):
+        want = 0.0
+        for m, ul in zip(mats, u_l):
+            k = np.eye(m.shape[0]) - u_g @ u_g.T - ul @ ul.T
+            want += np.trace(k @ m @ m.T @ k)
+        assert want > 1.0
+        assert obj == pytest.approx(want, rel=1e-10, abs=0.0)
