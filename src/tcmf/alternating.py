@@ -71,7 +71,7 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     Backend divergence propagates with the completed epoch traces attached
     to the raised error.
     """
-    mats = [as_matrix(m) for m in obs.matrices]
+    mats = obs.matrices
     est: FactorEstimate | None = None
     s_hat: SparseEstimate | None = None
     traces: list[EpochTrace] = []

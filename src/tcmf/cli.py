@@ -10,6 +10,7 @@ line, 65 corrupt data, 66 missing inputs.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import io
@@ -35,8 +36,7 @@ EXIT_MISSING = 66
 
 def cli_synth(config_path, out_dir, seed: int | None = None) -> int:
     rc = io.load_run_config(config_path)
-    cfg = io.synth_config(rc, seed=seed)
-    gt = generate(cfg)
+    gt = generate(rc if seed is None else replace(rc, seed=seed))
     obs = assemble_observations(gt)
     report = identifiability_report(gt)
     io.save_dataset(out_dir, gt, obs, report)
@@ -61,9 +61,7 @@ def cli_run(config_path, data_dir, trace_out) -> int:
     rc = io.load_run_config(config_path)
     obs = io.load_observations(data_dir, rc.r1, rc.r2)
     _check_data_matches_config(rc, obs)
-    gt = io.load_ground_truth(data_dir, obs.n_sources) if io.has_ground_truth(data_dir) else None
-    if gt is not None:
-        gt.check_fits([m.shape for m in obs.matrices], "ground truth vs the observations")
+    gt = _ground_truth(data_dir, obs) if io.has_ground_truth(data_dir) else None
     if rc.lambda1_mode == "theoretical":
         if gt is None:
             raise MissingInputError("theoretical lambda1 needs ground truth files")
@@ -89,17 +87,23 @@ def cli_run(config_path, data_dir, trace_out) -> int:
     return EXIT_OK
 
 
-def _ground_truth(data_dir):
+def _ground_truth(data_dir, obs=None):
+    """The ground truth under data_dir, checked to fit obs when given."""
     n = io.count_sources(data_dir)
     if not io.has_ground_truth(data_dir):
         raise MissingInputError(f"no ground truth factors under {data_dir}")
-    return io.load_ground_truth(data_dir, n)
+    gt = io.load_ground_truth(data_dir, n)
+    if obs is not None:
+        gt.check_fits([m.shape for m in obs.matrices], "ground truth vs the observations")
+    return gt
 
 
 def cli_check(data_dir) -> int:
-    gt = _ground_truth(data_dir)
-    obs = io.load_observations(data_dir, gt.r1, gt.r2)
-    gt.check_fits([m.shape for m in obs.matrices], "ground truth vs the observations")
+    # the fit check needs no rank targets; the ground truth's ranks must
+    # still be valid targets for the observations
+    obs = io.load_observations(data_dir, 0, 0)
+    gt = _ground_truth(data_dir, obs)
+    replace(obs, r1=gt.r1, r2=gt.r2)
     report = identifiability_report(gt)
     r = gt.r1 + gt.r2
     budget = report.theta**2 / (report.mu**4 * r**2 * gt.n_sources**2) if report.mu > 0 and r > 0 else 0.0

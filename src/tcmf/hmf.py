@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
-from .jimf import ObjectiveTrace, _terms, spectral_init
+from .jimf import ObjectiveTrace, _start, _terms
 from .model import FactorEstimate, ObservationSet
 from .numerics import RANK_RTOL, as_matrix
 
@@ -99,7 +99,8 @@ def hmf_solve(
 ) -> FactorEstimate:
     """Run the correct-then-step loop for params.iterations rounds.
 
-    Starts from warm_start when given, otherwise from spectral_init.
+    Starts from warm_start when given, otherwise from spectral_init; a warm
+    start whose ranks or shapes do not fit obs raises DimensionError.
     Records the objective once per iteration through ObjectiveTrace
     (appended to objective_out when provided), which raises DivergenceError
     under the shared rule; a shared factor that loses rank after runaway
@@ -107,8 +108,8 @@ def hmf_solve(
     correction pass so the returned estimate satisfies the orthogonality
     contract.
     """
-    mats = [as_matrix(m) for m in obs.matrices]
-    start = warm_start if warm_start is not None else spectral_init(mats, obs.r1, obs.r2)
+    mats = obs.matrices
+    start = _start(obs, warm_start)
     n = len(mats)
     widths = [m.shape[1] for m in mats]
     w = max(widths)

@@ -81,17 +81,10 @@ def read_matrix(path) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Flat key=value run description covering synthesis and solving."""
+class RunConfig(SynthConfig):
+    """Flat key=value run description: a synthetic instance (the SynthConfig
+    fields, checked on construction) plus the solver settings."""
 
-    n_sources: int
-    n1: int
-    n2: int
-    r1: int
-    r2: int
-    noise_prob: float
-    noise_magnitude: float
-    seed: int
     lambda1_mode: str
     rho: float
     epsilon: float
@@ -103,14 +96,12 @@ class RunConfig:
     warm_start: str
 
 
-_INT_KEYS = ("n_sources", "n1", "n2", "r1", "r2", "seed", "epochs", "inner_iterations")
-_FLOAT_KEYS = ("noise_prob", "noise_magnitude", "rho", "epsilon", "step_size", "beta")
 _CHOICE_KEYS = {
     "lambda1_mode": LAMBDA1_MODES,
     "backend": BACKENDS,
     "warm_start": WARM_START_POLICIES,
 }
-ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + tuple(_CHOICE_KEYS)
+_EXPECTED = {int: "an integer", float: "a number"}
 
 
 def _parse_key_values(text: str, error, where: str = "", keys=None) -> dict:
@@ -138,34 +129,28 @@ def _parse_key_values(text: str, error, where: str = "", keys=None) -> dict:
 def parse_run_config(text: str) -> RunConfig:
     """Parse key=value lines; blank lines and #-comments are skipped.
     Unknown, repeated, missing or ill-typed keys are configuration errors, and
-    so are sizes and rank targets SynthConfig rejects."""
-    values = _parse_key_values(text, ConfigurationError, keys=ALL_KEYS)
-    missing = [k for k in ALL_KEYS if k not in values]
+    so are sizes and rank targets SynthConfig rejects.  Each key takes its
+    type from its RunConfig field."""
+    types = {f.name: f.type for f in fields(RunConfig)}
+    values = _parse_key_values(text, ConfigurationError, keys=types)
+    missing = [k for k in types if k not in values]
     if missing:
         raise ConfigurationError(f"missing keys: {', '.join(missing)}")
     parsed = {}
-    for key in _INT_KEYS:
+    for key, kind in types.items():
+        val = values[key]
+        if key in _CHOICE_KEYS and val not in _CHOICE_KEYS[key]:
+            raise ConfigurationError(f"key {key!r}: expected one of {_CHOICE_KEYS[key]}, got {val!r}")
         try:
-            parsed[key] = int(values[key])
+            parsed[key] = kind(val)
         except ValueError:
-            raise ConfigurationError(f"key {key!r}: expected an integer, got {values[key]!r}")
-    for key in _FLOAT_KEYS:
-        try:
-            parsed[key] = float(values[key])
-        except ValueError:
-            raise ConfigurationError(f"key {key!r}: expected a number, got {values[key]!r}")
-        if not np.isfinite(parsed[key]):
+            raise ConfigurationError(f"key {key!r}: expected {_EXPECTED[kind]}, got {val!r}")
+        if kind is float and not np.isfinite(parsed[key]):
             raise ConfigurationError(f"key {key!r}: must be finite")
-    for key, choices in _CHOICE_KEYS.items():
-        if values[key] not in choices:
-            raise ConfigurationError(f"key {key!r}: expected one of {choices}, got {values[key]!r}")
-        parsed[key] = values[key]
-    rc = RunConfig(**parsed)
     try:
-        synth_config(rc)
+        return RunConfig(**parsed)
     except DimensionError as err:
         raise ConfigurationError(str(err)) from err
-    return rc
 
 
 def load_run_config(path) -> RunConfig:
@@ -173,12 +158,6 @@ def load_run_config(path) -> RunConfig:
     if not path.exists():
         raise MissingInputError(f"config file missing: {path}")
     return parse_run_config(path.read_text())
-
-
-def synth_config(rc: RunConfig, seed: int | None = None) -> SynthConfig:
-    """The SynthConfig fields of rc, with seed overriding rc.seed when given."""
-    values = {f.name: getattr(rc, f.name) for f in fields(SynthConfig)}
-    return SynthConfig(**dict(values, seed=rc.seed if seed is None else seed))
 
 
 def backend_params(backend: str, step_size: float, iterations: int, beta: float):
@@ -289,13 +268,12 @@ def load_estimates(directory, n_sources: int):
 # trace CSV --------------------------------------------------------------
 
 
-def format_trace_csv(traces, include_timing: bool | None = None) -> str:
+def format_trace_csv(traces) -> str:
     """Render epoch traces under the fixed header, one column per EpochTrace
     field in field order.  Timing is left blank by default so identical runs
     produce byte-identical files; set the TCMF_TRACE_TIMING=1 environment
-    variable (or include_timing=True) to record wall times."""
-    if include_timing is None:
-        include_timing = os.environ.get(TIMING_ENV, "") == "1"
+    variable to record wall times."""
+    include_timing = os.environ.get(TIMING_ENV, "") == "1"
     names = [f.name for f in fields(EpochTrace)]
     lines = [TRACE_HEADER]
     for t in traces:
@@ -305,5 +283,5 @@ def format_trace_csv(traces, include_timing: bool | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace_csv(path, traces, include_timing: bool | None = None):
-    _atomic_write_bytes(path, format_trace_csv(traces, include_timing).encode())
+def write_trace_csv(path, traces):
+    _atomic_write_bytes(path, format_trace_csv(traces).encode())

@@ -83,11 +83,10 @@ def spectral_init(matrices, r1: int, r2: int) -> FactorEstimate:
 
     Raises SingularityError when the data has numerical rank below r1: the
     singular values sigma_j = ||[M_1 ... M_N]^T u_g[:, j]|| (column norms of
-    the stacked v_g) are all zero or sigma_r1 <= RANK_RTOL * sigma_1.
+    the stacked v_g) are all zero or sigma_r1 <= RANK_RTOL * sigma_1, and
+    DimensionError when (matrices, r1, r2) is no valid ObservationSet.
     """
-    mats = [as_matrix(m) for m in matrices]
-    if not mats:
-        raise DimensionError("need at least one matrix")
+    mats = ObservationSet(matrices=matrices, r1=r1, r2=r2).matrices
     grams = np.stack([m @ m.T for m in mats])
     u_g = top_eigenvectors(grams.sum(axis=0), r1)
     v_g = [m.T @ u_g for m in mats]
@@ -113,16 +112,24 @@ def solve(obs: ObservationSet, params, warm_start: FactorEstimate | None = None)
     from .hmf import HmfParams, hmf_solve
     from .perpca import PerpcaParams, perpca_solve
 
-    if warm_start is not None:
-        ranks = (warm_start.r1, warm_start.r2)
-        if ranks != (obs.r1, obs.r2):
-            raise DimensionError(f"warm start has ranks {ranks}, expected {(obs.r1, obs.r2)}")
-        warm_start.check_fits([m.shape for m in obs.matrices], "warm start vs the observations")
     if isinstance(params, HmfParams):
         return hmf_solve(obs, params, warm_start)
     if isinstance(params, PerpcaParams):
         return perpca_solve(obs, params, warm_start)
     raise ConfigurationError(f"params must be HmfParams or PerpcaParams, got {type(params).__name__}")
+
+
+def _start(obs: ObservationSet, warm_start: FactorEstimate | None) -> FactorEstimate:
+    """The start of a backend solve: warm_start once its ranks and shapes are
+    checked against obs (DimensionError otherwise), or spectral_init of obs
+    when there is none."""
+    if warm_start is None:
+        return spectral_init(obs.matrices, obs.r1, obs.r2)
+    ranks = (warm_start.r1, warm_start.r2)
+    if ranks != (obs.r1, obs.r2):
+        raise DimensionError(f"warm start has ranks {ranks}, expected {(obs.r1, obs.r2)}")
+    warm_start.check_fits([m.shape for m in obs.matrices], "warm start vs the observations")
+    return warm_start
 
 
 def renormalize(est: FactorEstimate) -> FactorEstimate:

@@ -108,13 +108,15 @@ class GroundTruth(FactorEstimate):
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """The N observed matrices plus the rank targets used to factor them."""
+    """The N observed matrices, stored as finite float64 2-D arrays (as
+    as_matrix converts them), plus the rank targets used to factor them."""
 
     matrices: list
     r1: int
     r2: int
 
     def __post_init__(self):
+        object.__setattr__(self, "matrices", [as_matrix(m) for m in self.matrices])
         if not self.matrices:
             raise DimensionError("need at least one observation")
         n1 = self.matrices[0].shape[0]

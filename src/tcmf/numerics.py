@@ -87,7 +87,10 @@ def truncated_svd(m, k: int) -> ThinSVD:
 def top_eigenvectors(c, k: int) -> np.ndarray:
     """Top-k eigenvectors, in descending eigenvalue order, of a symmetric
     matrix or of every matrix in a stack (..., n, n), signed by
-    truncated_svd's rule."""
+    truncated_svd's rule.  Like truncated_svd, raises DimensionError unless
+    0 <= k <= n."""
+    if not 0 <= k <= np.shape(c)[-1]:
+        raise DimensionError(f"k={k} out of range for shape {np.shape(c)}")
     u = np.linalg.eigh(c)[1][..., ::-1][..., :k]
     return u * _pivot_signs(u)
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, SingularityError
-from .jimf import ObjectiveTrace, renormalize, spectral_init
+from .jimf import ObjectiveTrace, _start, renormalize
 from .model import FactorEstimate, ObservationSet
-from .numerics import as_matrix, as_stack, inv_sqrt_psd, sign_fixed_qr
+from .numerics import as_stack, inv_sqrt_psd, sign_fixed_qr
 
 POWER_ITERATIONS = 20
 
@@ -97,7 +97,8 @@ def perpca_solve(
     callback=None,
 ) -> FactorEstimate:
     """Run the retraction loop for params.iterations rounds, from warm_start
-    when given and from spectral_init otherwise.
+    when given and from spectral_init otherwise; a warm start whose ranks or
+    shapes do not fit obs raises DimensionError.
 
     The step size is params.step_size divided by the largest covariance
     eigenvalue across sources (estimated by power iteration), so the default
@@ -112,9 +113,9 @@ def perpca_solve(
     Ends with an exact deflation plus QR pass on each local basis before the
     coefficients are read off.
     """
-    mats = [as_matrix(m) for m in obs.matrices]
+    mats = obs.matrices
     # warm starts from other backends are only near-orthonormal
-    start = renormalize(warm_start if warm_start is not None else spectral_init(mats, obs.r1, obs.r2))
+    start = renormalize(_start(obs, warm_start))
     u_g = start.u_g
     u_l = np.stack(start.u_l)
     n = len(mats)

@@ -192,3 +192,35 @@ def test_spectral_work_stays_at_the_size_of_the_answer(monkeypatch, params):
     run(obs, tiny_cfg(lam1, epochs=2, params=params, warm_start_policy="fresh_spectral"), gt)
     assert shapes
     assert max(min(shape[-2:]) for shape in shapes) <= obs.r1 + obs.r2
+
+
+# Final (lam, log_g, log_l, log_s) on criterion 12's instance, one row per
+# backend and warm-start policy.  A change that moves results on purpose
+# updates these literals and says so in CHANGES.md.
+SAME_OUTPUTS = {
+    ("hmf", "carry_forward"):
+        (3.740356508365746, 0.9278890020628083, 0.9627806604611939, -0.08701871821103914),
+    ("perpca", "carry_forward"):
+        (3.740356508365746, -1.6491054160904584, -1.3394980570852952, -0.6142377496264433),
+    ("perpca", "fresh_spectral"):
+        (3.740356508365746, 0.49757368203375046, 0.46337733281339377, -0.5489196179124539),
+}
+SAME_OUTPUTS_PARAMS = {
+    "hmf": HmfParams(step_size=5e-3, iterations=200, beta=1e-5),
+    "perpca": PerpcaParams(step_size=0.1, iterations=200),
+}
+
+
+@pytest.mark.parametrize("backend,policy", list(SAME_OUTPUTS), ids="/".join)
+def test_run_results_stay_the_same(backend, policy):
+    gt = generate(SynthConfig(n_sources=3, n1=10, n2=24, r1=2, r2=2,
+                              noise_prob=0.02, noise_magnitude=50.0, seed=4))
+    obs = assemble_observations(gt)
+    lam1 = initial_lambda(obs, "theoretical", identifiability_report(gt))
+    cfg = TcmfConfig(schedule=LambdaSchedule(lambda1=lam1, rho=0.9, epsilon=1e-3), epochs=6,
+                     params=SAME_OUTPUTS_PARAMS[backend], warm_start_policy=policy)
+    _, _, traces = run(obs, cfg, gt)
+    final = traces[-1]
+    got = (final.lam, final.log_g, final.log_l, final.log_s)
+    np.testing.assert_allclose(got, SAME_OUTPUTS[backend, policy], rtol=1e-9, atol=0)
+    assert final.support_violations == 0

@@ -170,6 +170,14 @@ class TestRun:
                      "--out", str(trace)]) == EXIT_BAD_CONFIG
         assert not trace.exists()
 
+    def test_data_config_source_count_mismatch_is_rejected(self, tmp_path):
+        cfg, out = synth(tmp_path)
+        bad_cfg = write_config(tmp_path / "bad.cfg", n_sources="4")
+        trace = tmp_path / "trace.csv"
+        assert main(["run", "--config", str(bad_cfg), "--data", str(out),
+                     "--out", str(trace)]) == EXIT_BAD_CONFIG
+        assert not trace.exists()
+
     def test_theoretical_mode_without_ground_truth(self, tmp_path):
         cfg, out = synth(tmp_path)
         (out / "U_G.mat").unlink()

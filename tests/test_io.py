@@ -117,6 +117,16 @@ def test_parse_run_config_happy_path():
     assert rc.inner_iterations == 200
 
 
+def test_run_config_is_a_synth_config():
+    rc = parse_run_config(VALID_CONFIG)
+    assert isinstance(rc, SynthConfig)
+    cfg = SynthConfig(n_sources=3, n1=10, n2=24, r1=2, r2=2,
+                      noise_prob=0.02, noise_magnitude=50.0, seed=4)
+    from_config, direct = generate(rc), generate(cfg)
+    for name in ("u_g", "v_g", "u_l", "v_l", "s"):
+        assert np.array_equal(getattr(from_config, name), getattr(direct, name))
+
+
 @pytest.mark.parametrize("mutation,fragment", [
     ("unknown", "mystery = 1"),
     ("repeated", "n1 = 11"),
@@ -262,15 +272,16 @@ def test_trace_header_columns_are_epoch_trace_fields():
 
 
 def test_trace_csv_timing_flag_and_env(tmp_path, monkeypatch):
-    csv = format_trace_csv(sample_traces(), include_timing=True)
-    assert csv.strip().split("\n")[1].split(",")[-1] == "12.5"
     monkeypatch.setenv("TCMF_TRACE_TIMING", "1")
-    csv_env = format_trace_csv(sample_traces())
-    assert csv_env.strip().split("\n")[2].split(",")[-1] == "11.0"
+    csv = format_trace_csv(sample_traces())
+    assert csv.strip().split("\n")[1].split(",")[-1] == "12.5"
+    assert csv.strip().split("\n")[2].split(",")[-1] == "11.0"
     monkeypatch.delenv("TCMF_TRACE_TIMING")
     path = tmp_path / "trace.csv"
     write_trace_csv(path, sample_traces())
-    assert path.read_text().split("\n")[0] == TRACE_HEADER
+    lines = path.read_text().split("\n")
+    assert lines[0] == TRACE_HEADER
+    assert lines[1].split(",")[-1] == ""
 
 
 def test_trace_csv_floats_round_trip():

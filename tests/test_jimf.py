@@ -114,6 +114,14 @@ def test_spectral_init_deflation_orthogonality(tiny):
         assert np.allclose(est.u_l[i].T @ est.u_l[i], np.eye(2), atol=1e-10)
 
 
+@pytest.mark.parametrize("r1,r2", [(-1, 1), (1, -1), (6, 0), (2, 3)])
+def test_spectral_init_rejects_rank_targets_outside_the_rows(r1, r2):
+    rng = np.random.default_rng(19)
+    mats = [rng.standard_normal((4, 10)) for _ in range(2)]
+    with pytest.raises(DimensionError):
+        spectral_init(mats, r1, r2)
+
+
 def test_spectral_init_rejects_zero_matrices():
     with pytest.raises(SingularityError):
         spectral_init([np.zeros((5, 8)), np.zeros((5, 8))], 1, 1)
@@ -326,10 +334,12 @@ def test_kkt_residuals_are_the_beta_zero_gradient_norms(request, instance, start
     assert rep.r_ul == max(float(np.linalg.norm(g[3])) for g in grads)
 
 
-@pytest.mark.parametrize("params", [
-    HmfParams(step_size=0.01, iterations=5, beta=1e-5),
-    PerpcaParams(step_size=0.1, iterations=5),
-], ids=["hmf", "perpca"])
+@pytest.mark.parametrize("entry,params", [
+    (solve, HmfParams(step_size=0.01, iterations=5, beta=1e-5)),
+    (solve, PerpcaParams(step_size=0.1, iterations=5)),
+    (hmf_solve, HmfParams(step_size=0.01, iterations=5, beta=1e-5)),
+    (perpca_solve, PerpcaParams(step_size=0.1, iterations=5)),
+], ids=["hmf", "perpca", "hmf_solve", "perpca_solve"])
 @pytest.mark.parametrize("n1,widths,r1,r2", [
     (10, [20, 20, 20], 2, 1),  # local rank
     (10, [20, 20, 20], 1, 2),  # shared rank
@@ -337,8 +347,9 @@ def test_kkt_residuals_are_the_beta_zero_gradient_norms(request, instance, start
     (10, [20, 21, 20], 2, 2),  # one source's width
     (10, [20, 20], 2, 2),  # source count
 ], ids=["r2", "r1", "n1", "width", "sources"])
-def test_solve_rejects_misshaped_warm_start(tiny, params, n1, widths, r1, r2):
+def test_solve_rejects_misshaped_warm_start(tiny, entry, params, n1, widths, r1, r2):
+    # solve and both backends called directly check a warm start the same way
     warm = random_estimate(np.random.default_rng(37), n1, widths, r1, r2)
     obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     with pytest.raises(DimensionError, match="warm start"):
-        solve(obs, params, warm_start=warm)
+        entry(obs, params, warm_start=warm)

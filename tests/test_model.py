@@ -149,6 +149,29 @@ def test_observation_set_requires_matching_rows():
         ObservationSet(matrices=(np.zeros((3, 4)), np.zeros((5, 4))), r1=1, r2=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_observation_set_rejects_non_finite_entries(bad):
+    m = np.ones((3, 4))
+    m[1, 2] = bad
+    with pytest.raises(ContractViolationError):
+        ObservationSet(matrices=[np.ones((3, 4)), m], r1=1, r2=1)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 4)], ids=["1d", "3d"])
+def test_observation_set_rejects_non_matrices(shape):
+    with pytest.raises(DimensionError):
+        ObservationSet(matrices=[np.ones(shape)], r1=1, r2=0)
+
+
+def test_observation_set_stores_float64_arrays():
+    obs = ObservationSet(matrices=([[1, 2, 3], [4, 5, 6]], np.arange(4).reshape(2, 2)), r1=1, r2=1)
+    assert isinstance(obs.matrices, list)
+    for m in obs.matrices:
+        assert isinstance(m, np.ndarray) and m.dtype == np.float64
+    assert np.array_equal(obs.matrices[0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert obs.n1 == 2
+
+
 def test_measure_sparsity_examples():
     assert measure_sparsity(np.zeros((4, 6))) == 0.0
     assert measure_sparsity(np.ones((4, 6))) == 1.0

@@ -3,7 +3,7 @@ import pytest
 
 from tcmf import ThinSVD, inv_sqrt_psd, projection_onto, truncated_svd
 from tcmf.errors import ContractViolationError, DimensionError, SingularityError
-from tcmf.numerics import as_matrix, linf
+from tcmf.numerics import as_matrix, linf, top_eigenvectors
 
 from conftest import orth
 
@@ -51,6 +51,12 @@ def test_truncated_svd_k_out_of_range():
         truncated_svd(m, 4)
     with pytest.raises(DimensionError):
         truncated_svd(m, -1)
+
+
+@pytest.mark.parametrize("k", [5, -1])
+def test_top_eigenvectors_k_out_of_range(k):
+    with pytest.raises(DimensionError):
+        top_eigenvectors(np.eye(3), k)
 
 
 def test_truncated_svd_k_zero_gives_empty_factors():
