@@ -19,13 +19,7 @@ from .errors import (
 )
 from .hmf import HmfParams, hmf_correct, hmf_gradients, hmf_objective, hmf_solve
 from .jimf import KktResidualReport, kkt_residuals, renormalize, solve, spectral_init
-from .metrics import (
-    RecoveryErrors,
-    anomaly_statistic,
-    anomaly_threshold,
-    psnr,
-    recovery_errors,
-)
+from .metrics import RecoveryErrors, recovery_errors
 from .model import (
     FactorEstimate,
     GroundTruth,
@@ -72,8 +66,6 @@ __all__ = [
     "TcmfConfig",
     "TcmfError",
     "ThinSVD",
-    "anomaly_statistic",
-    "anomaly_threshold",
     "assemble_observations",
     "generalized_retraction",
     "generate",
@@ -93,7 +85,6 @@ __all__ = [
     "perpca_gradient",
     "perpca_solve",
     "projection_onto",
-    "psnr",
     "recovery_errors",
     "renormalize",
     "rpca_baseline",

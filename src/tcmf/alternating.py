@@ -17,7 +17,7 @@ from .jimf import solve
 from .metrics import recovery_errors
 from .model import FactorEstimate, GroundTruth, ObservationSet
 from .numerics import as_matrix, truncated_svd
-from .thresholding import LambdaSchedule, SparseEstimate, hard_threshold, next_lambda
+from .thresholding import LambdaSchedule, SparseEstimate, _threshold, next_lambda
 
 WARM_START_POLICIES = ("carry_forward", "fresh_spectral")
 
@@ -80,8 +80,8 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
             recon = est.reconstructions() if est is not None else [np.zeros_like(m) for m in mats]
-            s_mats = [hard_threshold(m - r, lam) for m, r in zip(mats, recon)]
-            s_hat = SparseEstimate.from_matrices(s_mats)
+            s_mats = [_threshold(m - r, lam) for m, r in zip(mats, recon)]
+            s_hat = SparseEstimate(s=s_mats)
             cleaned = [m - s for m, s in zip(mats, s_mats)]
             warm = est if cfg.warm_start_policy == "carry_forward" else None
             est = solve(ObservationSet(matrices=cleaned, r1=obs.r1, r2=obs.r2), cfg.params, warm)
@@ -108,7 +108,7 @@ def rpca_baseline(m, r: int, schedule: LambdaSchedule, epochs: int):
     sparse = np.zeros_like(m)
     lam = schedule.lambda1
     for _ in range(epochs):
-        sparse = hard_threshold(m - low, lam)
+        sparse = _threshold(m - low, lam)
         low = truncated_svd(m - sparse, r).reconstruct()
         lam = next_lambda(schedule, lam)
     return low, sparse

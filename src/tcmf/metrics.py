@@ -1,13 +1,12 @@
-"""Recovery error summaries and anomaly scoring."""
+"""Recovery error summaries."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import DimensionError
 from .model import FactorEstimate, GroundTruth
-from .numerics import as_matrix, linf
+from .numerics import linf
 from .thresholding import SparseEstimate
 
 LOG_FLOOR = 1e-16
@@ -55,33 +54,3 @@ def recovery_errors(est: FactorEstimate, s_hat: SparseEstimate, gt: GroundTruth)
         log_l=_log10_floored(sq_l / n),
         log_s=_log10_floored(sq_s),
     )
-
-
-def psnr(reference, candidate, peak: float) -> float:
-    """10 * log10(peak^2 / MSE); +inf when the inputs match exactly."""
-    reference = as_matrix(reference)
-    candidate = as_matrix(candidate)
-    if reference.shape != candidate.shape:
-        raise DimensionError("psnr needs matching shapes")
-    if peak <= 0.0:
-        raise ConfigurationError("peak must be positive")
-    diff = reference - candidate
-    mse = float(np.mean(diff * diff))
-    if mse == 0.0:
-        return math.inf
-    return float(10.0 * np.log10(peak * peak / mse))
-
-
-def anomaly_statistic(s) -> float:
-    """Entrywise l1 norm of a sparse estimate; grows when a frame carries
-    more or larger outliers than usual."""
-    return float(np.sum(np.abs(as_matrix(s))))
-
-
-def anomaly_threshold(stats, in_control_count: int) -> float:
-    """Largest statistic among the first in_control_count entries, the
-    conventional control limit when those frames are known clean."""
-    stats = [float(x) for x in stats]
-    if not 1 <= in_control_count <= len(stats):
-        raise ConfigurationError("in_control_count must be within the statistic list")
-    return max(stats[:in_control_count])

@@ -109,7 +109,9 @@ class GroundTruth(FactorEstimate):
 @dataclass(frozen=True)
 class ObservationSet:
     """The N observed matrices, stored as finite float64 2-D arrays (as
-    as_matrix converts them), plus the rank targets used to factor them."""
+    as_matrix converts them), plus the rank targets used to factor them.
+    The ranks must fit every source: r1 + r2 <= n1 and r1 + r2 <= each
+    source's column count."""
 
     matrices: list
     r1: int
@@ -127,6 +129,9 @@ class ObservationSet:
             raise DimensionError("rank targets must be nonnegative")
         if self.r1 + self.r2 > n1:
             raise DimensionError("need r1 + r2 <= n1 for u_g to stay orthogonal to u_l")
+        n2 = min(m.shape[1] for m in self.matrices)
+        if self.r1 + self.r2 > n2:
+            raise DimensionError(f"need r1 + r2 <= {n2}, the narrowest source's width")
 
     @property
     def n_sources(self) -> int:

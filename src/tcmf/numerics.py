@@ -134,10 +134,16 @@ def inv_sqrt_psd(a) -> np.ndarray:
     a = as_stack(a)
     if a.shape[-2] != a.shape[-1]:
         raise DimensionError("inv_sqrt_psd needs square matrices")
-    if a.shape[-1] == 0:
-        return a.copy()
     if linf(a - a.swapaxes(-1, -2)) >= SYM_TOL:
         raise ContractViolationError("matrix is not symmetric")
+    return _inv_sqrt(a)
+
+
+def _inv_sqrt(a: np.ndarray) -> np.ndarray:
+    # inv_sqrt_psd's arithmetic without its input checks, for Gram stacks a
+    # solver loop has just built; rank deficiency still raises
+    if a.shape[-1] == 0:
+        return a.copy()
     sym = (a + a.swapaxes(-1, -2)) / 2.0  # kill round-off asymmetry before eigh
     w, q = np.linalg.eigh(sym)
     if np.any(w[..., 0] <= PSD_MIN_EIG):

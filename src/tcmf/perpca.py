@@ -10,6 +10,8 @@ shared one.  Because the correction is idempotent, running it at the end
 of an iteration instead of the start of the next leaves the trajectory
 unchanged while keeping every iteration boundary orthonormal and mutually
 orthogonal.  Coefficient factors are read off at the end as v = M^T u.
+The loop calls the unchecked kernels behind generalized_retraction and
+perpca_gradient; the public functions validate their input.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, SingularityError
 from .jimf import ObjectiveTrace, _start, renormalize
 from .model import FactorEstimate, ObservationSet
-from .numerics import as_stack, inv_sqrt_psd, sign_fixed_qr
+from .numerics import _inv_sqrt, as_stack, sign_fixed_qr
 
 POWER_ITERATIONS = 20
 
@@ -47,9 +49,16 @@ def generalized_retraction(u, v) -> np.ndarray:
     if u.shape != v.shape:
         raise DimensionError("u and v must have the same shape")
     w = u + v
+    # NaN or Inf in u + v, or a Gram matrix that overflows, is rejected here
+    as_stack(w.swapaxes(-1, -2) @ w)
+    return _retract(u, v)
+
+
+def _retract(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # generalized_retraction without its input checks
+    w = u + v
     try:
-        # NaN or Inf in w reaches the Gram diagonal, where inv_sqrt_psd rejects it
-        b = inv_sqrt_psd(w.swapaxes(-1, -2) @ w)
+        b = _inv_sqrt(w.swapaxes(-1, -2) @ w)
     except SingularityError as err:
         raise SingularityError("u + v is rank deficient; retraction undefined") from err
     return w @ b
@@ -66,10 +75,12 @@ def perpca_gradient(u_g, u_l, s) -> np.ndarray:
     u_l = as_stack(u_l)
     s = as_stack(s)
     lead = np.broadcast_shapes(u_g.shape[:-2], u_l.shape[:-2], s.shape[:-2])
-    joint = np.concatenate(
-        (np.broadcast_to(u_g, lead + u_g.shape[-2:]), np.broadcast_to(u_l, lead + u_l.shape[-2:])),
-        axis=-1,
-    )
+    return _gradient(u_g, np.broadcast_to(u_l, lead + u_l.shape[-2:]), s)
+
+
+def _gradient(u_g: np.ndarray, u_l: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # perpca_gradient without its input checks; u_l carries the leading shape
+    joint = np.concatenate((np.broadcast_to(u_g, u_l.shape[:-2] + u_g.shape[-2:]), u_l), axis=-1)
     stacked = s @ joint
     shared = u_g @ (u_g.swapaxes(-1, -2) @ stacked)
     return stacked - shared - u_l @ (u_l.swapaxes(-1, -2) @ stacked)
@@ -121,17 +132,22 @@ def perpca_solve(
     n = len(mats)
     r1 = obs.r1
     covs = np.stack([m @ m.T for m in mats])
+    if params.iterations:
+        # the loop's kernels check nothing, so its inputs are checked once,
+        # before the first step
+        for a in (u_g, u_l, covs):
+            as_stack(a)
     scale = max(_lambda_max(c) for c in covs)
     eta = params.step_size / scale if scale > 0.0 else 0.0
     total = float(np.trace(covs, axis1=-2, axis2=-1).sum())
     trace = ObjectiveTrace()
 
     for tau in range(params.iterations):
-        grad = perpca_gradient(u_g, u_l, covs)
+        grad = _gradient(u_g, u_l, covs)
         cand = u_g + eta * grad[..., :r1]
-        u_l = generalized_retraction(u_l, eta * grad[..., r1:])
-        u_g = generalized_retraction(u_g, cand.sum(axis=0) / n - u_g)
-        u_l = generalized_retraction(u_l, -u_g @ (u_g.T @ u_l))
+        u_l = _retract(u_l, eta * grad[..., r1:])
+        u_g = _retract(u_g, cand.sum(axis=0) / n - u_g)
+        u_l = _retract(u_l, -u_g @ (u_g.T @ u_l))
 
         trace.record(total - float(np.sum(u_g * (covs @ u_g)) + np.sum(u_l * (covs @ u_l))))
         if callback is not None:

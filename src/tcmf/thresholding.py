@@ -1,6 +1,6 @@
 """Entrywise hard thresholding and the geometric threshold schedule."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,15 +34,19 @@ class LambdaSchedule:
 
 @dataclass(frozen=True)
 class SparseEstimate:
-    """Per-source sparse noise estimates plus their support sizes."""
+    """Per-source sparse noise estimates plus their support sizes, counted
+    from s.  The constructor takes s as given; from_matrices converts and
+    validates it first."""
 
     s: list
-    support_sizes: list
+    support_sizes: list = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "support_sizes", [int(np.count_nonzero(m)) for m in self.s])
 
     @classmethod
     def from_matrices(cls, mats) -> "SparseEstimate":
-        mats = [as_matrix(m) for m in mats]
-        return cls(s=mats, support_sizes=[int(np.count_nonzero(m)) for m in mats])
+        return cls(s=[as_matrix(m) for m in mats])
 
 
 def hard_threshold(x, lam: float) -> np.ndarray:
@@ -52,7 +56,11 @@ def hard_threshold(x, lam: float) -> np.ndarray:
     value, so the operator is idempotent and never moves an entry by more
     than lam.
     """
-    x = as_matrix(x)
+    return _threshold(as_matrix(x), lam)
+
+
+def _threshold(x: np.ndarray, lam: float) -> np.ndarray:
+    # hard_threshold without its input check, for residuals a loop has built
     return np.where(np.abs(x) > lam, x, 0.0)
 
 

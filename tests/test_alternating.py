@@ -211,7 +211,7 @@ SAME_OUTPUTS_PARAMS = {
 }
 
 
-@pytest.mark.parametrize("backend,policy", list(SAME_OUTPUTS), ids="/".join)
+@pytest.mark.parametrize("backend,policy", list(SAME_OUTPUTS), ids=[f"{b}/{p}" for b, p in SAME_OUTPUTS])
 def test_run_results_stay_the_same(backend, policy):
     gt = generate(SynthConfig(n_sources=3, n1=10, n2=24, r1=2, r2=2,
                               noise_prob=0.02, noise_magnitude=50.0, seed=4))

@@ -7,15 +7,11 @@ from tcmf import (
     FactorEstimate,
     GroundTruth,
     SparseEstimate,
-    anomaly_statistic,
-    anomaly_threshold,
     generate,
-    hard_threshold,
-    psnr,
     recovery_errors,
     SynthConfig,
 )
-from tcmf.errors import ConfigurationError, DimensionError
+from tcmf.errors import DimensionError
 
 
 def gt_and_exact_estimate(seed=7):
@@ -83,50 +79,3 @@ def test_recovery_errors_permutation_invariant():
     permuted = recovery_errors(est_p, s_p, gt_p)
     for field in ("linf_g", "linf_l", "linf_s", "log_g", "log_l", "log_s"):
         assert getattr(permuted, field) == pytest.approx(getattr(base, field), rel=1e-12)
-
-
-def test_psnr_values():
-    a = np.zeros((4, 4))
-    assert psnr(a, a, peak=255.0) == math.inf
-    b = np.full((4, 4), 255.0)
-    assert psnr(a, b, peak=255.0) == pytest.approx(0.0)
-    c = np.full((4, 4), 0.1)
-    assert psnr(a, c, peak=1.0) == pytest.approx(20.0)
-
-
-def test_psnr_monotone_in_perturbation():
-    rng = np.random.default_rng(1)
-    ref = rng.standard_normal((6, 6))
-    noise = rng.standard_normal((6, 6))
-    values = [psnr(ref, ref + scale * noise, peak=10.0) for scale in (0.1, 0.2, 0.4)]
-    assert values[0] > values[1] > values[2]
-
-
-def test_psnr_validation():
-    with pytest.raises(DimensionError):
-        psnr(np.zeros((2, 2)), np.zeros((2, 3)), peak=1.0)
-    with pytest.raises(ConfigurationError):
-        psnr(np.zeros((2, 2)), np.zeros((2, 2)), peak=0.0)
-
-
-def test_anomaly_statistic():
-    assert anomaly_statistic(np.zeros((3, 3))) == 0.0
-    assert anomaly_statistic(np.array([[1.0, -2.0], [0.0, 3.0]])) == 6.0
-
-
-def test_anomaly_statistic_shrinks_under_thresholding():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((5, 8))
-    for lam in (0.0, 0.5, 1.0):
-        assert anomaly_statistic(hard_threshold(x, lam)) <= anomaly_statistic(x)
-
-
-def test_anomaly_threshold():
-    stats = [1.0, 5.0, 3.0, 9.0]
-    assert anomaly_threshold(stats, 3) == 5.0
-    assert anomaly_threshold(stats, 1) == 1.0
-    assert anomaly_threshold([2.0, 2.0, 2.0], 3) == 2.0
-    with pytest.raises(ConfigurationError):
-        anomaly_threshold(stats, 0)
-    with pytest.raises(ConfigurationError):
-        anomaly_threshold(stats, 5)

@@ -12,6 +12,7 @@ from tcmf import (
     measure_incoherence,
     measure_misalignment,
     measure_sparsity,
+    spectral_init,
     truncated_svd,
 )
 from tcmf.errors import ConfigurationError, ContractViolationError, DimensionError, SingularityError
@@ -161,6 +162,19 @@ def test_observation_set_rejects_non_finite_entries(bad):
 def test_observation_set_rejects_non_matrices(shape):
     with pytest.raises(DimensionError):
         ObservationSet(matrices=[np.ones(shape)], r1=1, r2=0)
+
+
+def test_observation_set_rejects_ranks_wider_than_a_source():
+    # r1 + r2 fits n1 = 10 but not the 2 columns of each source
+    mats = [np.random.default_rng(i).standard_normal((10, 2)) for i in range(3)]
+    with pytest.raises(DimensionError):
+        ObservationSet(matrices=mats, r1=1, r2=3)
+    with pytest.raises(DimensionError):
+        spectral_init(mats, 1, 3)
+    # the narrowest source decides
+    with pytest.raises(DimensionError):
+        ObservationSet(matrices=[np.ones((10, 5)), np.ones((10, 3))], r1=2, r2=2)
+    assert ObservationSet(matrices=[np.ones((10, 5)), np.ones((10, 4))], r1=2, r2=2).n_sources == 2
 
 
 def test_observation_set_stores_float64_arrays():

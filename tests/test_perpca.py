@@ -136,6 +136,21 @@ def test_solve_warm_start_from_hmf_factors(tiny):
     assert tiny.product_error(est) <= 1e-3
 
 
+def test_solve_rejects_non_finite_loop_inputs(tiny):
+    # the loop's kernels check nothing; a NaN warm start or covariances that
+    # overflow are rejected before the first step, and only when one runs
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    est = tiny.exact_estimate()
+    est.u_g[3, 1] = np.nan
+    with pytest.raises(ContractViolationError):
+        perpca_solve(obs, PerpcaParams(iterations=1), warm_start=est)
+    huge = ObservationSet(matrices=[m * 1e160 for m in tiny.mats], r1=2, r2=2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ContractViolationError):
+            perpca_solve(huge, PerpcaParams(iterations=1), warm_start=tiny.exact_estimate())
+        assert perpca_solve(huge, PerpcaParams(iterations=0), warm_start=tiny.exact_estimate()).r1 == 2
+
+
 def test_retraction_stack_matches_slices_bitwise():
     rng = np.random.default_rng(4)
     u = rng.standard_normal((5, 8, 3))
@@ -157,8 +172,33 @@ def test_retraction_stack_checks_every_slice():
     v[3, 0, 0] = np.inf
     with pytest.raises(ContractViolationError):
         generalized_retraction(u, v)
+    nan_u = u.copy()
+    nan_u[2, 4, 1] = np.nan
+    with pytest.raises(ContractViolationError):
+        generalized_retraction(nan_u, np.zeros_like(u))
+    # finite entries whose Gram matrix overflows to Inf
+    huge_u = u.copy()
+    huge_u[0] *= 1e200
+    with np.errstate(over="ignore"), pytest.raises(ContractViolationError):
+        generalized_retraction(huge_u, np.zeros_like(u))
     with pytest.raises(DimensionError):
         generalized_retraction(u, v[:3])
+
+
+def test_gradient_rejects_non_finite_and_non_matrix_input(tiny):
+    u_g = tiny.exact_estimate().u_g
+    u_l = orth(np.random.default_rng(7).standard_normal((10, 2)))
+    cov = tiny.mats[0] @ tiny.mats[0].T
+    for k in range(3):
+        args = [u_g, u_l, cov]
+        bad = args[k].copy()
+        bad[1, 0] = np.nan
+        args[k] = bad
+        with pytest.raises(ContractViolationError):
+            perpca_gradient(*args)
+        args[k] = bad[:, 0]
+        with pytest.raises(DimensionError):
+            perpca_gradient(*args)
 
 
 def test_gradient_stack_matches_slices_bitwise(tiny):
