@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError, SingularityError
 from .model import FactorEstimate, ObservationSet
-from .numerics import RANK_RTOL, as_matrix, linf, sign_fixed_qr, top_eigenvectors
+from .numerics import RANK_RTOL, as_matrix, as_stack, linf, sign_fixed_qr, top_eigenvectors
 
 DIVERGENCE_WINDOW = 50
 
@@ -83,11 +83,12 @@ def spectral_init(matrices, r1: int, r2: int) -> FactorEstimate:
 
     Raises SingularityError when the data has numerical rank below r1: the
     singular values sigma_j = ||[M_1 ... M_N]^T u_g[:, j]|| (column norms of
-    the stacked v_g) are all zero or sigma_r1 <= RANK_RTOL * sigma_1, and
+    the stacked v_g) are all zero or sigma_r1 <= RANK_RTOL * sigma_1;
+    ContractViolationError when a Gram matrix M_i M_i^T overflows; and
     DimensionError when (matrices, r1, r2) is no valid ObservationSet.
     """
     mats = ObservationSet(matrices=matrices, r1=r1, r2=r2).matrices
-    grams = np.stack([m @ m.T for m in mats])
+    grams = as_stack(np.stack([m @ m.T for m in mats]))
     u_g = top_eigenvectors(grams.sum(axis=0), r1)
     v_g = [m.T @ u_g for m in mats]
     sigma = np.linalg.norm(np.concatenate(v_g), axis=0)

@@ -105,13 +105,13 @@ def _pivot_signs(u) -> np.ndarray:
 
 
 def sign_fixed_qr(a) -> tuple:
-    """Thin QR of a 2-D array with the diagonal of r made nonnegative, so the
-    factors are unique for full column rank input: returns (q, r) with
-    q r == a and q orthonormal."""
+    """Thin QR of a 2-D array, or of every matrix in a stack (..., n, r),
+    with the diagonal of r made nonnegative, so the factors are unique for
+    full column rank input: returns (q, r) with q r == a and q orthonormal."""
     q, r = np.linalg.qr(a)
-    d = np.sign(np.diag(r))
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    return q * d, r * d[:, None]
+    return q * d[..., None, :], r * d[..., :, None]
 
 
 def projection_onto(u) -> np.ndarray:
@@ -136,17 +136,9 @@ def inv_sqrt_psd(a) -> np.ndarray:
         raise DimensionError("inv_sqrt_psd needs square matrices")
     if linf(a - a.swapaxes(-1, -2)) >= SYM_TOL:
         raise ContractViolationError("matrix is not symmetric")
-    return _inv_sqrt(a)
-
-
-def _inv_sqrt(a: np.ndarray) -> np.ndarray:
-    # inv_sqrt_psd's arithmetic without its input checks, for Gram stacks a
-    # solver loop has just built; rank deficiency still raises
-    if a.shape[-1] == 0:
-        return a.copy()
     sym = (a + a.swapaxes(-1, -2)) / 2.0  # kill round-off asymmetry before eigh
     w, q = np.linalg.eigh(sym)
-    if np.any(w[..., 0] <= PSD_MIN_EIG):
+    if np.any(w <= PSD_MIN_EIG):
         raise SingularityError("matrix is not positive definite")
     b = (q / np.sqrt(w)[..., None, :]) @ q.swapaxes(-1, -2)
     return (b + b.swapaxes(-1, -2)) / 2.0

@@ -1,17 +1,16 @@
-"""Riemannian factorization backend: Stiefel gradient steps with a
-generalized polar retraction.
+"""Riemannian factorization backend: Stiefel gradient steps with a QR
+retraction.
 
 Works on the covariances S_i = M_i M_i^T, computed once per solve, so the
 per-iteration cost does not depend on the column counts.  Each iteration
 takes a variance-ascent step along the projected covariance directions,
-retracts the local bases, retracts the shared basis toward the average of
-its per-source copies, then corrects every local basis against the new
-shared one.  Because the correction is idempotent, running it at the end
-of an iteration instead of the start of the next leaves the trajectory
-unchanged while keeping every iteration boundary orthonormal and mutually
-orthogonal.  Coefficient factors are read off at the end as v = M^T u.
-The loop calls the unchecked kernels behind generalized_retraction and
-perpca_gradient; the public functions validate their input.
+then two sign-fixed QR steps: the shared basis becomes the orthonormal
+factor of the average of its stepped per-source copies, and every stepped
+local basis that of itself deflated against the new shared one.  The step,
+the average and the deflation are right-equivariant and only the spans
+reach the outputs, so the iterates span what the generalized polar
+retraction (generalized_retraction) of each step would; only the bases
+inside the spans differ.  Coefficient factors are read off as v = M^T u.
 """
 
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, SingularityError
 from .jimf import ObjectiveTrace, _start, renormalize
 from .model import FactorEstimate, ObservationSet
-from .numerics import _inv_sqrt, as_stack, sign_fixed_qr
+from .numerics import PSD_MIN_EIG, as_stack, inv_sqrt_psd, sign_fixed_qr
 
 POWER_ITERATIONS = 20
 
@@ -49,19 +48,21 @@ def generalized_retraction(u, v) -> np.ndarray:
     if u.shape != v.shape:
         raise DimensionError("u and v must have the same shape")
     w = u + v
-    # NaN or Inf in u + v, or a Gram matrix that overflows, is rejected here
-    as_stack(w.swapaxes(-1, -2) @ w)
-    return _retract(u, v)
-
-
-def _retract(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # generalized_retraction without its input checks
-    w = u + v
     try:
-        b = _inv_sqrt(w.swapaxes(-1, -2) @ w)
+        # inv_sqrt_psd rejects NaN or Inf in w, or a Gram matrix that overflows
+        b = inv_sqrt_psd(w.swapaxes(-1, -2) @ w)
     except SingularityError as err:
         raise SingularityError("u + v is rank deficient; retraction undefined") from err
     return w @ b
+
+
+def _orthonormalize(x: np.ndarray) -> np.ndarray:
+    # the q of sign_fixed_qr(x), unchecked; r_jj^2 <= PSD_MIN_EIG (the floor
+    # inv_sqrt_psd puts on the Gram's eigenvalues) means rank deficient
+    q, r = sign_fixed_qr(x)
+    if np.any(np.diagonal(r, axis1=-2, axis2=-1) ** 2 <= PSD_MIN_EIG):
+        raise SingularityError("stepped basis is rank deficient; retraction undefined")
+    return q
 
 
 def perpca_gradient(u_g, u_l, s) -> np.ndarray:
@@ -75,13 +76,13 @@ def perpca_gradient(u_g, u_l, s) -> np.ndarray:
     u_l = as_stack(u_l)
     s = as_stack(s)
     lead = np.broadcast_shapes(u_g.shape[:-2], u_l.shape[:-2], s.shape[:-2])
-    return _gradient(u_g, np.broadcast_to(u_l, lead + u_l.shape[-2:]), s)
+    u_l = np.broadcast_to(u_l, lead + u_l.shape[-2:])
+    joint = np.concatenate((np.broadcast_to(u_g, lead + u_g.shape[-2:]), u_l), axis=-1)
+    return _gradient(u_g, u_l, s @ joint)
 
 
-def _gradient(u_g: np.ndarray, u_l: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # perpca_gradient without its input checks; u_l carries the leading shape
-    joint = np.concatenate((np.broadcast_to(u_g, u_l.shape[:-2] + u_g.shape[-2:]), u_l), axis=-1)
-    stacked = s @ joint
+def _gradient(u_g: np.ndarray, u_l: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    # perpca_gradient without its input checks, from the product S [u_g u_l]
     shared = u_g @ (u_g.swapaxes(-1, -2) @ stacked)
     return stacked - shared - u_l @ (u_l.swapaxes(-1, -2) @ stacked)
 
@@ -109,7 +110,11 @@ def perpca_solve(
 ) -> FactorEstimate:
     """Run the retraction loop for params.iterations rounds, from warm_start
     when given and from spectral_init otherwise; a warm start whose ranks or
-    shapes do not fit obs raises DimensionError.
+    shapes do not fit obs raises DimensionError.  Each round is two
+    sign-fixed QR steps (the shared basis, then the deflated local bases)
+    whose spans equal those of the three polar retractions they replace, so
+    only the bases inside each span differ from that iteration; a stepped
+    basis that loses rank raises SingularityError.
 
     The step size is params.step_size divided by the largest covariance
     eigenvalue across sources (estimated by power iteration), so the default
@@ -117,43 +122,45 @@ def perpca_solve(
     fitted bases, is sum_i trace(K_i S_i K_i) with the projector
     K_i = I - U_i U_i^T, U_i = [u_g u_l[i]]; it is evaluated in O(n1^2 r) as
     sum_i trace(S_i) - sum(U_i * S_i U_i), with the traces taken once per
-    solve, and recorded through ObjectiveTrace, which raises
-    DivergenceError under the shared rule.  callback(tau, u_g, u_l_list),
-    when given, is invoked after every iteration, at which point all bases
-    are orthonormal and the local ones are orthogonal to the shared one.
-    Ends with an exact deflation plus QR pass on each local basis before the
-    coefficients are read off.
+    solve and S_i U_i shared with the next gradient, and recorded through
+    ObjectiveTrace, which raises DivergenceError under the shared rule.
+    callback(tau, u_g, u_l_list), when given, is invoked after every
+    iteration, at which point all bases are orthonormal and the local ones
+    are orthogonal to the shared one.  Ends with an exact deflation plus QR
+    pass on the local bases before the coefficients are read off.
     """
     mats = obs.matrices
     # warm starts from other backends are only near-orthonormal
     start = renormalize(_start(obs, warm_start))
     u_g = start.u_g
     u_l = np.stack(start.u_l)
-    n = len(mats)
     r1 = obs.r1
     covs = np.stack([m @ m.T for m in mats])
     if params.iterations:
-        # the loop's kernels check nothing, so its inputs are checked once,
-        # before the first step
+        # the loop's kernels check nothing; check their inputs once, here
         for a in (u_g, u_l, covs):
             as_stack(a)
     scale = max(_lambda_max(c) for c in covs)
     eta = params.step_size / scale if scale > 0.0 else 0.0
     total = float(np.trace(covs, axis1=-2, axis2=-1).sum())
     trace = ObjectiveTrace()
+    # [u_g u_l[i]] for every source, rewritten in place each round
+    joint = np.concatenate((np.broadcast_to(u_g, u_l.shape[:-1] + (r1,)), u_l), axis=-1)
+    stacked = covs @ joint
 
     for tau in range(params.iterations):
-        grad = _gradient(u_g, u_l, covs)
-        cand = u_g + eta * grad[..., :r1]
-        u_l = _retract(u_l, eta * grad[..., r1:])
-        u_g = _retract(u_g, cand.sum(axis=0) / n - u_g)
-        u_l = _retract(u_l, -u_g @ (u_g.T @ u_l))
-
-        trace.record(total - float(np.sum(u_g * (covs @ u_g)) + np.sum(u_l * (covs @ u_l))))
+        grad = _gradient(u_g, u_l, stacked)
+        u_g = _orthonormalize((u_g + eta * grad[..., :r1]).mean(axis=0))
+        x = u_l + eta * grad[..., r1:]
+        u_l = _orthonormalize(x - u_g @ (u_g.T @ x))
+        joint[..., :r1] = u_g
+        joint[..., r1:] = u_l
+        stacked = covs @ joint
+        trace.record(total - float(np.sum(joint * stacked)))
         if callback is not None:
             callback(tau + 1, u_g, list(u_l))
 
-    u_l = [sign_fixed_qr(ul - u_g @ (u_g.T @ ul))[0] for ul in u_l]
+    u_l = list(sign_fixed_qr(u_l - u_g @ (u_g.T @ u_l))[0])
     v_g = [m.T @ u_g for m in mats]
     v_l = [m.T @ ul for m, ul in zip(mats, u_l)]
     return FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)

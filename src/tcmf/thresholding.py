@@ -13,8 +13,8 @@ from .numerics import as_matrix
 class LambdaSchedule:
     """Threshold recurrence lambda_{t+1} = rho * lambda_t + epsilon.
 
-    Requires rho < 1 - epsilon/lambda1 so the schedule strictly decreases
-    from lambda1 toward its fixed point epsilon / (1 - rho).
+    Requires finite fields and rho < 1 - epsilon/lambda1, so the schedule
+    strictly decreases from lambda1 toward its fixed point epsilon/(1 - rho).
     """
 
     lambda1: float
@@ -22,13 +22,13 @@ class LambdaSchedule:
     epsilon: float
 
     def __post_init__(self):
-        if self.lambda1 <= 0.0:
-            raise ConfigurationError("lambda1 must be positive")
+        if not 0.0 < self.lambda1 < np.inf:
+            raise ConfigurationError("lambda1 must be positive and finite")
         if not 0.0 < self.rho < 1.0:
             raise ConfigurationError("rho must lie in (0, 1)")
-        if self.epsilon < 0.0:
-            raise ConfigurationError("epsilon must be nonnegative")
-        if self.rho >= 1.0 - self.epsilon / self.lambda1:
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ConfigurationError("epsilon must be nonnegative and finite")
+        if not self.rho < 1.0 - self.epsilon / self.lambda1:
             raise ConfigurationError("need rho < 1 - epsilon/lambda1")
 
 

@@ -250,6 +250,17 @@ class TestFailureExitCodes:
         assert main(["run", "--config", str(cfg), "--data", str(out),
                      "--out", str(trace)]) == EXIT_CORRUPT
 
+    def test_data_whose_gram_matrices_overflow_exits_65(self, tmp_path, capsys):
+        cfg, out = synth(tmp_path, backend="perpca", step_size="0.1",
+                         lambda1_mode="data_driven", epochs="2", inner_iterations="5")
+        for path in out.glob("M_*.mat"):
+            io.write_matrix(path, io.read_matrix(path) * 1e155)
+        trace = tmp_path / "trace.csv"
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(cfg), "--data", str(out),
+                         "--out", str(trace)]) == EXIT_CORRUPT
+        assert "invalid data" in capsys.readouterr().err
+
     def test_missing_data_dir_exits_66(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg")
         trace = tmp_path / "trace.csv"

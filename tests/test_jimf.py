@@ -19,7 +19,13 @@ from tcmf import (
     spectral_init,
     truncated_svd,
 )
-from tcmf.errors import ConfigurationError, DimensionError, DivergenceError, SingularityError
+from tcmf.errors import (
+    ConfigurationError,
+    ContractViolationError,
+    DimensionError,
+    DivergenceError,
+    SingularityError,
+)
 from tcmf.jimf import DIVERGENCE_WINDOW, ObjectiveTrace
 from tcmf.numerics import linf
 
@@ -125,6 +131,18 @@ def test_spectral_init_rejects_rank_targets_outside_the_rows(r1, r2):
 def test_spectral_init_rejects_zero_matrices():
     with pytest.raises(SingularityError):
         spectral_init([np.zeros((5, 8)), np.zeros((5, 8))], 1, 1)
+
+
+@pytest.mark.parametrize("params", [HmfParams(iterations=1), PerpcaParams(iterations=1)], ids=["hmf", "perpca"])
+def test_overflowing_gram_stack_is_a_contract_violation(tiny, params):
+    # finite data whose Gram matrices M_i M_i^T overflow reaches eigh as Inf,
+    # which fails with an untyped LinAlgError unless rejected first
+    mats = [m * 1e155 for m in tiny.mats]
+    with np.errstate(all="ignore"):
+        with pytest.raises(ContractViolationError):
+            spectral_init(mats, 2, 2)
+        with pytest.raises(ContractViolationError):
+            solve(ObservationSet(matrices=mats, r1=2, r2=2), params)
 
 
 def _spans(est):

@@ -3,7 +3,7 @@ import pytest
 
 from tcmf import ThinSVD, inv_sqrt_psd, projection_onto, truncated_svd
 from tcmf.errors import ContractViolationError, DimensionError, SingularityError
-from tcmf.numerics import as_matrix, linf, top_eigenvectors
+from tcmf.numerics import as_matrix, linf, sign_fixed_qr, top_eigenvectors
 
 from conftest import orth
 
@@ -102,6 +102,20 @@ def test_thinsvd_validates_parts():
         ThinSVD(u=np.eye(2), sigma=np.array([1.0, -0.5]), v=np.eye(2))
     with pytest.raises(DimensionError):
         ThinSVD(u=u, sigma=np.array([1.0, 1.0]), v=v)
+
+
+def test_sign_fixed_qr_stack_matches_slices_bitwise():
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((4, 9, 3))
+    q, r = sign_fixed_qr(stack)
+    assert q.shape == stack.shape and r.shape == (4, 3, 3)
+    for i in range(4):
+        q_i, r_i = sign_fixed_qr(stack[i])
+        assert np.array_equal(q[i], q_i)
+        assert np.array_equal(r[i], r_i)
+        assert np.all(np.diag(r_i) >= 0.0)
+        assert np.allclose(q_i @ r_i, stack[i], rtol=0, atol=1e-12)
+    assert sign_fixed_qr(np.zeros((4, 9, 0)))[0].shape == (4, 9, 0)
 
 
 def test_projection_onto_axis_vector():

@@ -7,11 +7,12 @@ from tcmf import (
     generalized_retraction,
     perpca_gradient,
     perpca_solve,
+    renormalize,
     spectral_init,
 )
 from tcmf.errors import ConfigurationError, ContractViolationError, DimensionError, SingularityError
 from tcmf import perpca
-from tcmf.numerics import linf
+from tcmf.numerics import PSD_MIN_EIG, linf, sign_fixed_qr
 from tcmf.perpca import _lambda_max
 
 from conftest import orth
@@ -214,28 +215,110 @@ def test_gradient_stack_matches_slices_bitwise(tiny):
 
 def test_solve_matches_per_source_reference(uneven):
     # the loop over sources the solver replaced, built from the public
-    # per-source primitives; the arithmetic is the same, so bits must match
+    # per-source primitives and the rank rule; the arithmetic is the same,
+    # so bits must match
     obs = ObservationSet(matrices=uneven.mats, r1=2, r2=2)
     params = PerpcaParams(step_size=0.1, iterations=5)
     seen = []
     perpca_solve(obs, params, callback=lambda tau, u_g, u_l: seen.append((u_g, u_l)))
+
+    def orthonormalize(x):
+        q, r = sign_fixed_qr(x)
+        assert np.all(np.diag(r) ** 2 > PSD_MIN_EIG)
+        return q
 
     start = spectral_init(uneven.mats, 2, 2)
     u_g = orth(start.u_g)
     u_l = [orth(ul - u_g @ (u_g.T @ ul)) for ul in start.u_l]
     covs = [m @ m.T for m in uneven.mats]
     eta = params.step_size / max(_lambda_max(c) for c in covs)
+    assert len(seen) == 5
     for got_g, got_l in seen:
         acc = np.zeros_like(u_g)
+        steps = []
         for i, c in enumerate(covs):
             grad = perpca_gradient(u_g, u_l[i], c)
             acc += u_g + eta * grad[:, :2]
-            u_l[i] = generalized_retraction(u_l[i], eta * grad[:, 2:])
-        u_g = generalized_retraction(u_g, acc / len(covs) - u_g)
-        u_l = [generalized_retraction(ul, -u_g @ (u_g.T @ ul)) for ul in u_l]
+            steps.append(u_l[i] + eta * grad[:, 2:])
+        u_g = orthonormalize(acc / len(covs))
+        u_l = [orthonormalize(x - u_g @ (u_g.T @ x)) for x in steps]
         assert np.array_equal(got_g, u_g)
         for a, b in zip(got_l, u_l):
             assert np.array_equal(a, b)
+
+
+def _recorded_solve(monkeypatch, obs, params):
+    # the objectives perpca_solve records and copies of the bases its
+    # callback sees, one per iteration
+    recorded, bases = [], []
+
+    class Recording(perpca.ObjectiveTrace):
+        def record(self, obj):
+            recorded.append(obj)
+            super().record(obj)
+
+    monkeypatch.setattr(perpca, "ObjectiveTrace", Recording)
+    perpca_solve(obs, params,
+                 callback=lambda tau, u_g, u_l: bases.append((u_g.copy(), [u.copy() for u in u_l])))
+    return recorded, bases
+
+
+@pytest.mark.parametrize("instance,r1,r2", [
+    ("tiny", 2, 2), ("uneven", 2, 2), ("tiny", 0, 2), ("tiny", 2, 0), ("uneven", 2, 1),
+])
+def test_solve_tracks_the_polar_retraction_subspaces(request, monkeypatch, instance, r1, r2):
+    # the QR steps keep the spans of the three generalized polar retractions
+    # (local step, shared step, deflation) they replaced, so the projectors
+    # and the objective agree to round-off in every iteration
+    mats = request.getfixturevalue(instance).mats
+    obs = ObservationSet(matrices=mats, r1=r1, r2=r2)
+    params = PerpcaParams(step_size=0.1, iterations=50)
+    recorded, bases = _recorded_solve(monkeypatch, obs, params)
+
+    start = renormalize(spectral_init(mats, r1, r2))
+    u_g, u_l = start.u_g, np.stack(start.u_l)
+    covs = np.stack([m @ m.T for m in mats])
+    eta = params.step_size / max(_lambda_max(c) for c in covs)
+    total = np.trace(covs, axis1=-2, axis2=-1).sum()
+    assert len(recorded) == len(bases) == 50
+    for obj, (got_g, got_l) in zip(recorded, bases):
+        grad = perpca_gradient(u_g, u_l, covs)
+        cand = u_g + eta * grad[..., :r1]
+        u_l = generalized_retraction(u_l, eta * grad[..., r1:])
+        u_g = generalized_retraction(u_g, cand.mean(axis=0) - u_g)
+        u_l = generalized_retraction(u_l, -u_g @ (u_g.T @ u_l))
+        want = total - np.sum(u_g * (covs @ u_g)) - np.sum(u_l * (covs @ u_l))
+        assert linf(got_g @ got_g.T - u_g @ u_g.T) < 1e-10
+        for a, b in zip(got_l, u_l):
+            assert linf(a @ a.T - b @ b.T) < 1e-10
+        assert abs(obj - want) < 1e-10
+
+
+def test_orthonormalize_rejects_a_rank_deficient_slice():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((3, 7, 3))
+    q = perpca._orthonormalize(stack)
+    assert linf(q.swapaxes(-1, -2) @ q - np.eye(3)) < 1e-12
+    stack[1, :, 2] = stack[1, :, 0]
+    with pytest.raises(SingularityError):
+        perpca._orthonormalize(stack)
+
+
+def test_solve_loop_takes_no_eigendecomposition(tiny, monkeypatch):
+    # the retraction is two QR steps; a loop that slides back to eigh (three
+    # Gram-stack eigh calls per iteration with the polar retraction) fails
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    start = spectral_init(tiny.mats, 2, 2)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    perpca_solve(obs, PerpcaParams(step_size=0.1, iterations=20), warm_start=start)
+    assert calls == []
 
 
 @pytest.mark.parametrize("instance", ["tiny", "uneven"])
@@ -245,17 +328,8 @@ def test_objective_is_the_variance_outside_the_bases(request, monkeypatch, insta
     # r2 = 1 leaves one local direction of every source outside the fit, so
     # the objective stays far from zero and a relative check means something
     mats = request.getfixturevalue(instance).mats
-    recorded, bases = [], []
-
-    class Recording(perpca.ObjectiveTrace):
-        def record(self, obj):
-            recorded.append(obj)
-            super().record(obj)
-
-    monkeypatch.setattr(perpca, "ObjectiveTrace", Recording)
     obs = ObservationSet(matrices=mats, r1=2, r2=1)
-    perpca_solve(obs, PerpcaParams(step_size=0.1, iterations=30),
-                 callback=lambda tau, u_g, u_l: bases.append((u_g.copy(), [u.copy() for u in u_l])))
+    recorded, bases = _recorded_solve(monkeypatch, obs, PerpcaParams(step_size=0.1, iterations=30))
     assert len(recorded) == len(bases) == 30
     for obj, (u_g, u_l) in zip(recorded, bases):
         want = 0.0

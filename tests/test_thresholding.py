@@ -79,6 +79,15 @@ def test_lambda_schedule_validation():
         LambdaSchedule(lambda1=1.0, rho=0.95, epsilon=0.1)
 
 
+@pytest.mark.parametrize("field", ["lambda1", "rho", "epsilon"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_lambda_schedule_rejects_non_finite_fields(field, value):
+    # a NaN fails every comparison, so each check must be one NaN cannot pass
+    fields = {"lambda1": 5.0, "rho": 0.9, "epsilon": 1e-3, field: value}
+    with pytest.raises(ConfigurationError):
+        LambdaSchedule(**fields)
+
+
 def test_next_lambda_arithmetic():
     assert next_lambda(LambdaSchedule(1.0, 0.5, 0.1), 1.0) == pytest.approx(0.6)
     assert next_lambda(LambdaSchedule(1.0, 0.9, 0.0), 1.0) == pytest.approx(0.9)
