@@ -99,11 +99,10 @@ def _ground_truth(data_dir, obs=None):
 
 
 def cli_check(data_dir) -> int:
-    # the fit check needs no rank targets; the ground truth's ranks must
-    # still be valid targets for the observations
-    obs = io.load_observations(data_dir, 0, 0)
-    gt = _ground_truth(data_dir, obs)
-    replace(obs, r1=gt.r1, r2=gt.r2)
+    # the ground truth's ranks must be valid targets for the observations
+    gt = _ground_truth(data_dir)
+    obs = io.load_observations(data_dir, gt.r1, gt.r2)
+    gt.check_fits([m.shape for m in obs.matrices], "ground truth vs the observations")
     report = identifiability_report(gt)
     r = gt.r1 + gt.r2
     budget = report.theta**2 / (report.mu**4 * r**2 * gt.n_sources**2) if report.mu > 0 and r > 0 else 0.0

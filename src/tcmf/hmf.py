@@ -82,7 +82,7 @@ def hmf_correct(est: FactorEstimate, source_index: int) -> FactorEstimate:
     the matching coefficient shift."""
     ul, vg = _correct_arrays(est.u_g, est.v_g[source_index], est.u_l[source_index], est.v_l[source_index])
     v_g = list(est.v_g)
-    u_l = list(est.u_l)
+    u_l = est.u_l.copy()
     v_g[source_index] = vg
     u_l[source_index] = ul
     return replace(est, v_g=v_g, u_l=u_l)
@@ -100,7 +100,8 @@ def hmf_solve(
     """Run the correct-then-step loop for params.iterations rounds.
 
     Starts from warm_start when given, otherwise from spectral_init; a warm
-    start whose ranks or shapes do not fit obs raises DimensionError.
+    start whose ranks or shapes do not fit obs raises DimensionError, one
+    with NaN or Inf entries ContractViolationError.
     Records the objective once per iteration through ObjectiveTrace
     (appended to objective_out when provided), which raises DivergenceError
     under the shared rule; a shared factor that loses rank after runaway
@@ -120,8 +121,8 @@ def hmf_solve(
         m_all[i, :, :width] = mats[i]
         v_g[i, :width] = start.v_g[i]
         v_l[i, :width] = start.v_l[i]
-    u_g = start.u_g.copy()
-    u_l = np.stack(start.u_l)
+    # copies, so no output shares memory with the warm start even when no step moves it
+    u_g, u_l = start.u_g.copy(), start.u_l.copy()
     eta = params.step_size
     trace = ObjectiveTrace(objective_out)
 
@@ -146,6 +147,6 @@ def hmf_solve(
     return FactorEstimate(
         u_g=u_g,
         v_g=[v_g[i, :width] for i, width in enumerate(widths)],
-        u_l=list(u_l),
+        u_l=u_l,
         v_l=[v_l[i, :width] for i, width in enumerate(widths)],
     )

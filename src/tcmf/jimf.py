@@ -3,7 +3,8 @@ and first-order residuals.
 
 Backends ("hmf", "perpca") drive a FactorEstimate of an ObservationSet toward
 the least-squares fit, keeping the shared basis u_g orthogonal to each local
-basis u_l[i].
+basis u_l[i].  Per-source arrays of one shape are stacks (u_l, obs.grams);
+those whose width follows the source's (the data, v_g, v_l) are lists.
 
 _terms is the one place the regularized least-squares objective and its
 gradient blocks are computed: the hmf solver loop, hmf_objective,
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DivergenceError, SingularityError
+from .errors import ConfigurationError, ContractViolationError, DimensionError, DivergenceError, SingularityError
 from .model import FactorEstimate, ObservationSet
-from .numerics import RANK_RTOL, as_matrix, as_stack, linf, sign_fixed_qr, top_eigenvectors
+from .numerics import RANK_RTOL, as_matrix, linf, sign_fixed_qr, top_eigenvectors
 
 DIVERGENCE_WINDOW = 50
 
@@ -71,9 +72,9 @@ class ObjectiveTrace:
         )
 
 
-def spectral_init(matrices, r1: int, r2: int) -> FactorEstimate:
+def spectral_init(obs: ObservationSet) -> FactorEstimate:
     """Initialize factors from the data spectrum, working only on the n1 x n1
-    Gram stack C_i = M_i M_i^T.
+    Gram stack C_i = M_i M_i^T (obs.grams).
 
     u_g holds the top r1 eigenvectors of sum_i C_i (the top left singular
     vectors of the concatenation [M_1 ... M_N]); u_l[i] the top r2
@@ -83,19 +84,17 @@ def spectral_init(matrices, r1: int, r2: int) -> FactorEstimate:
 
     Raises SingularityError when the data has numerical rank below r1: the
     singular values sigma_j = ||[M_1 ... M_N]^T u_g[:, j]|| (column norms of
-    the stacked v_g) are all zero or sigma_r1 <= RANK_RTOL * sigma_1;
-    ContractViolationError when a Gram matrix M_i M_i^T overflows; and
-    DimensionError when (matrices, r1, r2) is no valid ObservationSet.
+    the stacked v_g) are all zero or sigma_r1 <= RANK_RTOL * sigma_1; and
+    ContractViolationError when a Gram matrix M_i M_i^T overflows.
     """
-    mats = ObservationSet(matrices=matrices, r1=r1, r2=r2).matrices
-    grams = as_stack(np.stack([m @ m.T for m in mats]))
-    u_g = top_eigenvectors(grams.sum(axis=0), r1)
+    mats, grams = obs.matrices, obs.grams
+    u_g = top_eigenvectors(grams.sum(axis=0), obs.r1)
     v_g = [m.T @ u_g for m in mats]
     sigma = np.linalg.norm(np.concatenate(v_g), axis=0)
-    if r1 > 0 and (sigma[0] == 0.0 or sigma[-1] <= RANK_RTOL * sigma[0]):
+    if obs.r1 > 0 and (sigma[0] == 0.0 or sigma[-1] <= RANK_RTOL * sigma[0]):
         raise SingularityError("concatenated data has numerical rank below r1")
     p = np.eye(u_g.shape[0]) - u_g @ u_g.T
-    u_l = list(top_eigenvectors(p @ grams @ p, r2))
+    u_l = top_eigenvectors(p @ grams @ p, obs.r2)
     v_l = [m.T @ ul for m, ul in zip(mats, u_l)]
     return FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)
 
@@ -106,7 +105,8 @@ def solve(obs: ObservationSet, params, warm_start: FactorEstimate | None = None)
     warm_start when given and from spectral_init otherwise.
 
     Raises ConfigurationError for any other params object, DimensionError
-    for a warm start whose ranks or shapes do not fit obs, and
+    for a warm start whose ranks or shapes do not fit obs,
+    ContractViolationError for one with NaN or Inf entries, and
     DivergenceError (with the objective trace attached) under the
     ObjectiveTrace rule.
     """
@@ -121,15 +121,18 @@ def solve(obs: ObservationSet, params, warm_start: FactorEstimate | None = None)
 
 
 def _start(obs: ObservationSet, warm_start: FactorEstimate | None) -> FactorEstimate:
-    """The start of a backend solve: warm_start once its ranks and shapes are
-    checked against obs (DimensionError otherwise), or spectral_init of obs
-    when there is none."""
+    """The start of a backend solve: warm_start once its ranks and shapes
+    (else DimensionError) and its finiteness (else ContractViolationError)
+    are checked against obs, or spectral_init of obs when there is none."""
     if warm_start is None:
-        return spectral_init(obs.matrices, obs.r1, obs.r2)
+        return spectral_init(obs)
     ranks = (warm_start.r1, warm_start.r2)
     if ranks != (obs.r1, obs.r2):
         raise DimensionError(f"warm start has ranks {ranks}, expected {(obs.r1, obs.r2)}")
     warm_start.check_fits([m.shape for m in obs.matrices], "warm start vs the observations")
+    factors = (warm_start.u_g, warm_start.u_l, *warm_start.v_g, *warm_start.v_l)
+    if not all(np.isfinite(a).all() for a in factors):
+        raise ContractViolationError("warm start contains NaN or Inf entries")
     return warm_start
 
 
@@ -139,19 +142,14 @@ def renormalize(est: FactorEstimate) -> FactorEstimate:
     round-off.
 
     Steps: QR on u_g (v_g absorbs the triangular factor), exact deflation of
-    u_l against u_g with the matching v_g compensation, then QR on u_l.
+    the u_l stack against u_g with the matching v_g compensation, then one
+    stacked QR on u_l.
     """
     q_g, r_g = sign_fixed_qr(est.u_g)
-    v_g = [v @ r_g.T for v in est.v_g]
-    u_l, v_l = [], []
-    for i in range(est.n_sources):
-        ul_old = est.u_l[i]
-        g = q_g.T @ ul_old
-        ul = ul_old - q_g @ g
-        v_g[i] = v_g[i] + est.v_l[i] @ g.T
-        q_l, r_l = sign_fixed_qr(ul)
-        u_l.append(q_l)
-        v_l.append(est.v_l[i] @ r_l.T)
+    g = q_g.T @ est.u_l
+    u_l, r_l = sign_fixed_qr(est.u_l - q_g @ g)
+    v_g = [v @ r_g.T + vl @ gi.T for v, vl, gi in zip(est.v_g, est.v_l, g)]
+    v_l = [vl @ rl.T for vl, rl in zip(est.v_l, r_l)]
     return FactorEstimate(u_g=q_g, v_g=v_g, u_l=u_l, v_l=v_l)
 
 
@@ -194,9 +192,8 @@ def kkt_residuals(est: FactorEstimate, matrices) -> KktResidualReport:
         raise DimensionError("estimate and data have different source counts")
     est = renormalize(est)
     grads = [_terms(est.u_g, est.v_g[i], est.u_l[i], est.v_l[i], m, 0.0)[1:] for i, m in enumerate(mats)]
-    r_orth = linf(est.u_g.T @ est.u_g - np.eye(est.r1))
-    for ul in est.u_l:
-        r_orth = max(r_orth, linf(ul.T @ ul - np.eye(ul.shape[1])), linf(ul.T @ est.u_g))
+    gram_l = est.u_l.swapaxes(-1, -2) @ est.u_l - np.eye(est.r2)
+    r_orth = max(linf(est.u_g.T @ est.u_g - np.eye(est.r1)), linf(gram_l), est.cross_orthogonality())
     return KktResidualReport(
         r_vg=float(np.linalg.norm(sum(g[0] for g in grads))),
         r_vl=max(float(np.linalg.norm(g[2])) for g in grads),

@@ -7,11 +7,12 @@ u_g^T u_l[i] = 0, and a sparse noise matrix s[i].
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, DimensionError
-from .numerics import ThinSVD, as_matrix, linf, projection_onto, sign_fixed_qr, truncated_svd
+from .numerics import ThinSVD, as_matrix, as_stack, linf, projection_onto, sign_fixed_qr, truncated_svd
 
 INCOHERENCE_ORTHO_TOL = 1e-8
 SIGMA_NONZERO_RTOL = 1e-12
@@ -46,11 +47,13 @@ class SynthConfig:
 @dataclass(frozen=True)
 class FactorEstimate:
     """Shared factor u_g plus per-source factors v_g, u_l, v_l: source i is
-    represented as u_g v_g[i]^T + u_l[i] v_l[i]^T."""
+    represented as u_g v_g[i]^T + u_l[i] v_l[i]^T.  u_l is one float64
+    stack (N, n1, r2), converted once on construction (a list of matrices is
+    accepted); v_g and v_l stay lists, as their rows follow each source's width."""
 
     u_g: np.ndarray
     v_g: list
-    u_l: list
+    u_l: np.ndarray
     v_l: list
 
     def __post_init__(self):
@@ -64,6 +67,7 @@ class FactorEstimate:
             if ul.shape != (n1, r2) or vg.shape[1] != r1 or vl.shape != (vg.shape[0], r2):
                 shapes = f"u_l {ul.shape}, v_g {vg.shape}, v_l {vl.shape}"
                 raise DimensionError(f"source {i}: {shapes} do not fit u_g {(n1, r1)}")
+        object.__setattr__(self, "u_l", np.asarray(self.u_l, dtype=np.float64))
 
     def check_fits(self, shapes: list, what: str):
         """Raise DimensionError, naming what, unless source i reconstructs
@@ -82,7 +86,7 @@ class FactorEstimate:
 
     @property
     def r2(self) -> int:
-        return self.u_l[0].shape[1]
+        return self.u_l.shape[2]
 
     def reconstruction(self, i: int) -> np.ndarray:
         return self.u_g @ self.v_g[i].T + self.u_l[i] @ self.v_l[i].T
@@ -92,7 +96,7 @@ class FactorEstimate:
 
     def cross_orthogonality(self) -> float:
         """Worst |u_g^T u_l[i]| entry across sources."""
-        return max(linf(self.u_g.T @ ul) for ul in self.u_l)
+        return linf(self.u_g.T @ self.u_l)
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,8 @@ class ObservationSet:
     """The N observed matrices, stored as finite float64 2-D arrays (as
     as_matrix converts them), plus the rank targets used to factor them.
     The ranks must fit every source: r1 + r2 <= n1 and r1 + r2 <= each
-    source's column count."""
+    source's column count.  The matrices stay a list, since their widths
+    may differ; their Gram stack is the (N, n1, n1) array grams."""
 
     matrices: list
     r1: int
@@ -140,6 +145,13 @@ class ObservationSet:
     @property
     def n1(self) -> int:
         return self.matrices[0].shape[0]
+
+    @cached_property
+    def grams(self) -> np.ndarray:
+        """The stack of M_i M_i^T, built on first use, read-only; overflow raises ContractViolationError."""
+        grams = as_stack(np.stack([m @ m.T for m in self.matrices]))
+        grams.flags.writeable = False
+        return grams
 
 
 @dataclass(frozen=True)
@@ -217,14 +229,9 @@ def measure_misalignment(u_l) -> float:
     theta means the local subspaces point different ways, which is what lets
     the shared component be told apart from the local ones.
     """
-    mats = [as_matrix(u) for u in u_l]
-    if not mats:
+    if not len(u_l):
         raise DimensionError("need at least one local factor")
-    n = mats[0].shape[0]
-    avg = np.zeros((n, n))
-    for u in mats:
-        avg += projection_onto(u)
-    avg /= len(mats)
+    avg = sum(projection_onto(u) for u in u_l) / len(u_l)
     top = float(np.linalg.eigvalsh((avg + avg.T) / 2.0)[-1])
     return min(max(1.0 - top, 0.0), 1.0)
 

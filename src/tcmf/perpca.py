@@ -1,7 +1,7 @@
 """Riemannian factorization backend: Stiefel gradient steps with a QR
 retraction.
 
-Works on the covariances S_i = M_i M_i^T, computed once per solve, so the
+Works on the covariances S_i = M_i M_i^T (the problem's Gram stack), so the
 per-iteration cost does not depend on the column counts.  Each iteration
 takes a variance-ascent step along the projected covariance directions,
 then two sign-fixed QR steps: the shared basis becomes the orthonormal
@@ -110,7 +110,8 @@ def perpca_solve(
 ) -> FactorEstimate:
     """Run the retraction loop for params.iterations rounds, from warm_start
     when given and from spectral_init otherwise; a warm start whose ranks or
-    shapes do not fit obs raises DimensionError.  Each round is two
+    shapes do not fit obs raises DimensionError, one with NaN or Inf entries
+    (or a Gram stack that overflows) ContractViolationError.  Each round is two
     sign-fixed QR steps (the shared basis, then the deflated local bases)
     whose spans equal those of the three polar retractions they replace, so
     only the bases inside each span differ from that iteration; a stepped
@@ -124,22 +125,17 @@ def perpca_solve(
     sum_i trace(S_i) - sum(U_i * S_i U_i), with the traces taken once per
     solve and S_i U_i shared with the next gradient, and recorded through
     ObjectiveTrace, which raises DivergenceError under the shared rule.
-    callback(tau, u_g, u_l_list), when given, is invoked after every
-    iteration, at which point all bases are orthonormal and the local ones
-    are orthogonal to the shared one.  Ends with an exact deflation plus QR
-    pass on the local bases before the coefficients are read off.
+    callback(tau, u_g, u_l), u_l the (N, n1, r2) stack, is invoked after
+    every iteration, when all bases are orthonormal and the local ones are
+    orthogonal to the shared one.  Ends with an exact deflation plus QR pass
+    on the local bases before the coefficients are read off.
     """
     mats = obs.matrices
     # warm starts from other backends are only near-orthonormal
     start = renormalize(_start(obs, warm_start))
-    u_g = start.u_g
-    u_l = np.stack(start.u_l)
+    u_g, u_l = start.u_g, start.u_l
     r1 = obs.r1
-    covs = np.stack([m @ m.T for m in mats])
-    if params.iterations:
-        # the loop's kernels check nothing; check their inputs once, here
-        for a in (u_g, u_l, covs):
-            as_stack(a)
+    covs = obs.grams
     scale = max(_lambda_max(c) for c in covs)
     eta = params.step_size / scale if scale > 0.0 else 0.0
     total = float(np.trace(covs, axis1=-2, axis2=-1).sum())
@@ -158,9 +154,9 @@ def perpca_solve(
         stacked = covs @ joint
         trace.record(total - float(np.sum(joint * stacked)))
         if callback is not None:
-            callback(tau + 1, u_g, list(u_l))
+            callback(tau + 1, u_g, u_l)
 
-    u_l = list(sign_fixed_qr(u_l - u_g @ (u_g.T @ u_l))[0])
+    u_l = sign_fixed_qr(u_l - u_g @ (u_g.T @ u_l))[0]
     v_g = [m.T @ u_g for m in mats]
     v_l = [m.T @ ul for m, ul in zip(mats, u_l)]
     return FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)

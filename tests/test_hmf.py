@@ -157,7 +157,7 @@ def test_solve_tiny_instance_reaches_tolerance(tiny):
 def test_solve_zero_iterations_returns_corrected_init(tiny):
     obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     est = hmf_solve(obs, HmfParams(step_size=0.01, iterations=0, beta=1e-5))
-    start = spectral_init(tiny.mats, 2, 2)
+    start = spectral_init(obs)
     for i in range(3):
         assert linf(est.reconstruction(i) - start.reconstruction(i)) < 1e-10
     assert est.cross_orthogonality() < 1e-10
@@ -208,7 +208,7 @@ def test_solve_divergence_carries_trace(tiny, step, reason, length):
 def reference_solve(mats, iterations, eta, beta):
     """The per-source loop the batched solver replaced, built from the
     public per-source correction and gradient."""
-    est = spectral_init(mats, 2, 2)
+    est = spectral_init(ObservationSet(matrices=mats, r1=2, r2=2))
     objectives = []
     for _ in range(iterations):
         for i in range(len(mats)):

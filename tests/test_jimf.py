@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from tcmf.errors import (
     DivergenceError,
     SingularityError,
 )
+from tcmf.io import load_estimates, save_estimates
 from tcmf.jimf import DIVERGENCE_WINDOW, ObjectiveTrace
 from tcmf.numerics import linf
 
@@ -108,13 +110,13 @@ def test_factor_estimate_shapes_and_products(tiny):
 def test_spectral_init_single_source_matches_svd():
     rng = np.random.default_rng(5)
     m = orth(rng.standard_normal((10, 2))) @ rng.standard_normal((20, 2)).T
-    est = spectral_init([m], 2, 0)
+    est = spectral_init(ObservationSet(matrices=[m], r1=2, r2=0))
     assert np.allclose(est.u_g, truncated_svd(m, 2).u, rtol=0, atol=1e-12)
     assert est.u_l[0].shape == (10, 0)
 
 
 def test_spectral_init_deflation_orthogonality(tiny):
-    est = spectral_init(tiny.mats, tiny.r1, tiny.r2)
+    est = spectral_init(ObservationSet(matrices=tiny.mats, r1=tiny.r1, r2=tiny.r2))
     assert est.cross_orthogonality() <= 1e-8
     for i in range(3):
         assert np.allclose(est.u_l[i].T @ est.u_l[i], np.eye(2), atol=1e-10)
@@ -125,12 +127,12 @@ def test_spectral_init_rejects_rank_targets_outside_the_rows(r1, r2):
     rng = np.random.default_rng(19)
     mats = [rng.standard_normal((4, 10)) for _ in range(2)]
     with pytest.raises(DimensionError):
-        spectral_init(mats, r1, r2)
+        spectral_init(ObservationSet(matrices=mats, r1=r1, r2=r2))
 
 
 def test_spectral_init_rejects_zero_matrices():
     with pytest.raises(SingularityError):
-        spectral_init([np.zeros((5, 8)), np.zeros((5, 8))], 1, 1)
+        spectral_init(ObservationSet(matrices=[np.zeros((5, 8)), np.zeros((5, 8))], r1=1, r2=1))
 
 
 @pytest.mark.parametrize("params", [HmfParams(iterations=1), PerpcaParams(iterations=1)], ids=["hmf", "perpca"])
@@ -140,7 +142,7 @@ def test_overflowing_gram_stack_is_a_contract_violation(tiny, params):
     mats = [m * 1e155 for m in tiny.mats]
     with np.errstate(all="ignore"):
         with pytest.raises(ContractViolationError):
-            spectral_init(mats, 2, 2)
+            spectral_init(ObservationSet(matrices=mats, r1=2, r2=2))
         with pytest.raises(ContractViolationError):
             solve(ObservationSet(matrices=mats, r1=2, r2=2), params)
 
@@ -154,7 +156,7 @@ def test_spectral_init_spans_match_svd_route(request, instance):
     # these instances have repeated singular values, so only the spans and
     # the reconstructions are unique, not the bases
     mats = request.getfixturevalue(instance).mats
-    got, want = spectral_init(mats, 2, 2), svd_spectral_init(mats, 2, 2)
+    got, want = spectral_init(ObservationSet(matrices=mats, r1=2, r2=2)), svd_spectral_init(mats, 2, 2)
     for a, b in zip(_spans(got), _spans(want)):
         assert np.allclose(a, b, rtol=0, atol=1e-10)
 
@@ -162,7 +164,7 @@ def test_spectral_init_spans_match_svd_route(request, instance):
 def test_spectral_init_factors_match_svd_route_at_wide_shape():
     gt = tcmf.generate(tcmf.SynthConfig(20, 100, 1000, 3, 3, noise_prob=0.01, noise_magnitude=100.0, seed=0))
     mats = tcmf.assemble_observations(gt).matrices
-    got, want = spectral_init(mats, 3, 3), svd_spectral_init(mats, 3, 3)
+    got, want = spectral_init(ObservationSet(matrices=mats, r1=3, r2=3)), svd_spectral_init(mats, 3, 3)
     assert np.allclose(got.u_g, want.u_g, rtol=0, atol=1e-10)
     for name in ("v_g", "u_l", "v_l"):
         for a, b in zip(getattr(got, name), getattr(want, name)):
@@ -174,14 +176,14 @@ def test_spectral_init_rank_check_is_relative(scale):
     rng = np.random.default_rng(41)
     a, b = rng.standard_normal((15, 1)), rng.standard_normal((100, 1))
     with pytest.raises(SingularityError, match="rank below r1"):
-        spectral_init([scale * a @ b.T, 2 * scale * a @ b.T], 2, 0)
+        spectral_init(ObservationSet(matrices=[scale * a @ b.T, 2 * scale * a @ b.T], r1=2, r2=0))
 
 
 def test_spectral_init_accepts_small_but_genuine_second_direction():
     rng = np.random.default_rng(43)
     u, v = orth(rng.standard_normal((15, 2))), orth(rng.standard_normal((100, 2)))
     m = (u * [1.0, 1e-7]) @ v.T
-    est = spectral_init([m], 2, 0)
+    est = spectral_init(ObservationSet(matrices=[m], r1=2, r2=0))
     assert np.linalg.norm(m.T @ est.u_g, axis=0) == pytest.approx([1.0, 1e-7], rel=1e-6)
 
 
@@ -281,7 +283,7 @@ def test_solve_warm_start_at_optimum_is_fixed_point(tiny, params):
     PerpcaParams(step_size=0.1, iterations=50),
 ], ids=BACKEND_IDS)
 def test_solve_invariant_under_common_sign_flip(tiny, params):
-    start = spectral_init(tiny.mats, 2, 2)
+    start = spectral_init(ObservationSet(matrices=tiny.mats, r1=2, r2=2))
     flipped = FactorEstimate(
         u_g=start.u_g * np.array([-1.0, 1.0]),
         v_g=[v * np.array([-1.0, 1.0]) for v in start.v_g],
@@ -336,7 +338,7 @@ def test_kkt_residuals_are_the_beta_zero_gradient_norms(request, instance, start
     # the KKT report and hmf_gradients share one kernel, so each block agrees bit for bit
     inst = request.getfixturevalue(instance)
     if start == "spectral":
-        est = spectral_init(inst.mats, 2, 2)
+        est = spectral_init(ObservationSet(matrices=inst.mats, r1=2, r2=2))
     else:
         rng = np.random.default_rng(31)
         est = random_estimate(rng, inst.mats[0].shape[0], [m.shape[1] for m in inst.mats], 2, 2)
@@ -371,3 +373,73 @@ def test_solve_rejects_misshaped_warm_start(tiny, entry, params, n1, widths, r1,
     obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     with pytest.raises(DimensionError, match="warm start"):
         entry(obs, params, warm_start=warm)
+
+
+@pytest.mark.parametrize("params", [
+    HmfParams(iterations=0),
+    HmfParams(iterations=1),
+    PerpcaParams(iterations=0),
+    PerpcaParams(iterations=1),
+], ids=["hmf-0", "hmf-1", "perpca-0", "perpca-1"])
+@pytest.mark.parametrize("factor", ["u_g", "u_l", "v_g", "v_l"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_solve_rejects_non_finite_warm_start(tiny, params, factor, bad):
+    # one check, where the warm start enters, so both backends fail alike at any budget
+    warm = tiny.exact_estimate()
+    entries = getattr(warm, factor)
+    (entries if factor == "u_g" else entries[1])[3, 1] = bad
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    with pytest.raises(ContractViolationError, match="warm start"):
+        solve(obs, params, warm_start=warm)
+
+
+def _estimates(obs, tmp_path):
+    # every producer of a FactorEstimate, on the problem obs
+    start = spectral_init(obs)
+    save_estimates(tmp_path, start, tcmf.SparseEstimate.from_matrices(obs.matrices))
+    cfg = tcmf.SynthConfig(obs.n_sources, obs.n1, 20, obs.r1, obs.r2, noise_prob=0.0, noise_magnitude=1.0, seed=0)
+    return {
+        "spectral_init": start,
+        "hmf_solve": hmf_solve(obs, HmfParams(iterations=2)),
+        "perpca_solve": perpca_solve(obs, PerpcaParams(iterations=2)),
+        "renormalize": renormalize(start),
+        "hmf_correct": tcmf.hmf_correct(start, 0),
+        "generate": tcmf.generate(cfg),
+        "load_estimates": load_estimates(tmp_path, obs.n_sources)[0],
+    }
+
+
+@pytest.mark.parametrize("instance", ["tiny", "uneven"])
+@pytest.mark.parametrize("r1,r2", [(2, 2), (2, 0), (0, 2)])
+def test_local_bases_are_one_stack_and_solves_copy_the_warm_start(request, tmp_path, instance, r1, r2):
+    inst = request.getfixturevalue(instance)
+    obs = ObservationSet(matrices=inst.mats, r1=r1, r2=r2)
+    for name, est in _estimates(obs, tmp_path).items():
+        assert isinstance(est.u_l, np.ndarray), name
+        assert est.u_l.dtype == np.float64, name
+        assert est.u_l.shape == (obs.n_sources, obs.n1, r2), name
+    warm = spectral_init(obs)
+    warm_arrays = [warm.u_g, warm.u_l, *warm.v_g, *warm.v_l]
+    for params in (HmfParams(iterations=0), HmfParams(iterations=1), PerpcaParams(iterations=0)):
+        est = solve(obs, params, warm_start=warm)
+        for a in (est.u_g, est.u_l, *est.v_g, *est.v_l):
+            assert not any(np.shares_memory(a, b) for b in warm_arrays), params
+
+
+@pytest.mark.parametrize("params", [HmfParams(iterations=2), PerpcaParams(iterations=2)], ids=["hmf", "perpca"])
+def test_fresh_solve_converts_no_matrix_twice(tiny, monkeypatch, params):
+    # the problem's matrices were converted when it was built; the spectral
+    # start reads them, and their Gram stack, from it
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    real = tcmf.numerics.as_matrix
+    calls = []
+
+    def counting_as_matrix(a):
+        calls.append(1)
+        return real(a)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "tcmf" or name.startswith("tcmf.")) and getattr(module, "as_matrix", None) is real:
+            monkeypatch.setattr(module, "as_matrix", counting_as_matrix)
+    solve(obs, params)
+    assert calls == []

@@ -170,7 +170,7 @@ def test_observation_set_rejects_ranks_wider_than_a_source():
     with pytest.raises(DimensionError):
         ObservationSet(matrices=mats, r1=1, r2=3)
     with pytest.raises(DimensionError):
-        spectral_init(mats, 1, 3)
+        spectral_init(ObservationSet(matrices=mats, r1=1, r2=3))
     # the narrowest source decides
     with pytest.raises(DimensionError):
         ObservationSet(matrices=[np.ones((10, 5)), np.ones((10, 3))], r1=2, r2=2)

@@ -94,7 +94,7 @@ def test_solve_tiny_instance_reaches_tolerance(tiny):
 def test_solve_zero_iterations_returns_corrected_init(tiny):
     obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     est = perpca_solve(obs, PerpcaParams(step_size=0.1, iterations=0))
-    start = spectral_init(tiny.mats, 2, 2)
+    start = spectral_init(obs)
     assert linf(est.u_g - start.u_g) < 1e-10
     assert est.cross_orthogonality() < 1e-10
 
@@ -104,7 +104,7 @@ def test_solve_zero_step_keeps_shared_basis(tiny):
     seen = []
     perpca_solve(obs, PerpcaParams(step_size=0.0, iterations=10),
                  callback=lambda tau, u_g, u_l: seen.append(u_g.copy()))
-    start = spectral_init(tiny.mats, 2, 2)
+    start = spectral_init(obs)
     for u_g in seen:
         assert linf(u_g - start.u_g) < 1e-12
 
@@ -139,7 +139,7 @@ def test_solve_warm_start_from_hmf_factors(tiny):
 
 def test_solve_rejects_non_finite_loop_inputs(tiny):
     # the loop's kernels check nothing; a NaN warm start or covariances that
-    # overflow are rejected before the first step, and only when one runs
+    # overflow are rejected before the first step, whatever the budget
     obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     est = tiny.exact_estimate()
     est.u_g[3, 1] = np.nan
@@ -149,7 +149,8 @@ def test_solve_rejects_non_finite_loop_inputs(tiny):
     with np.errstate(all="ignore"):
         with pytest.raises(ContractViolationError):
             perpca_solve(huge, PerpcaParams(iterations=1), warm_start=tiny.exact_estimate())
-        assert perpca_solve(huge, PerpcaParams(iterations=0), warm_start=tiny.exact_estimate()).r1 == 2
+        with pytest.raises(ContractViolationError):
+            perpca_solve(huge, PerpcaParams(iterations=0), warm_start=tiny.exact_estimate())
 
 
 def test_retraction_stack_matches_slices_bitwise():
@@ -227,7 +228,7 @@ def test_solve_matches_per_source_reference(uneven):
         assert np.all(np.diag(r) ** 2 > PSD_MIN_EIG)
         return q
 
-    start = spectral_init(uneven.mats, 2, 2)
+    start = spectral_init(ObservationSet(matrices=uneven.mats, r1=2, r2=2))
     u_g = orth(start.u_g)
     u_l = [orth(ul - u_g @ (u_g.T @ ul)) for ul in start.u_l]
     covs = [m @ m.T for m in uneven.mats]
@@ -275,7 +276,7 @@ def test_solve_tracks_the_polar_retraction_subspaces(request, monkeypatch, insta
     params = PerpcaParams(step_size=0.1, iterations=50)
     recorded, bases = _recorded_solve(monkeypatch, obs, params)
 
-    start = renormalize(spectral_init(mats, r1, r2))
+    start = renormalize(spectral_init(obs))
     u_g, u_l = start.u_g, np.stack(start.u_l)
     covs = np.stack([m @ m.T for m in mats])
     eta = params.step_size / max(_lambda_max(c) for c in covs)
@@ -315,7 +316,7 @@ def test_solve_loop_takes_no_eigendecomposition(tiny, monkeypatch):
         return eigh(*args, **kwargs)
 
     obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
-    start = spectral_init(tiny.mats, 2, 2)
+    start = spectral_init(obs)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     perpca_solve(obs, PerpcaParams(step_size=0.1, iterations=20), warm_start=start)
     assert calls == []
