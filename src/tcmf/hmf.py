@@ -30,7 +30,7 @@ from .numerics import RANK_RTOL, as_matrix
 @dataclass(frozen=True)
 class HmfParams:
     step_size: float = 5e-3
-    iterations: int = 500
+    iterations: int = 500  # a cap: the ObjectiveTrace stopping rule may end a solve sooner
     beta: float = 1e-5
 
     def __post_init__(self):
@@ -97,17 +97,18 @@ def hmf_solve(
     warm_start: FactorEstimate | None = None,
     objective_out: list | None = None,
 ) -> FactorEstimate:
-    """Run the correct-then-step loop for params.iterations rounds.
+    """Run the correct-then-step loop for at most params.iterations rounds.
 
     Starts from warm_start when given, otherwise from spectral_init; a warm
     start whose ranks or shapes do not fit obs raises DimensionError, one
     with NaN or Inf entries ContractViolationError.
     Records the objective once per iteration through ObjectiveTrace
-    (appended to objective_out when provided), which raises DivergenceError
-    under the shared rule; a shared factor that loses rank after runaway
-    objective growth raises DivergenceError as well.  Ends with one extra
-    correction pass so the returned estimate satisfies the orthogonality
-    contract.
+    (appended to objective_out when provided) with scale 0.5 sum_i ||M_i||^2,
+    the objective at zero factors: the loop ends under the shared stopping
+    rule and raises DivergenceError under the shared divergence rule, as it
+    does when a shared factor loses rank after runaway objective growth.
+    Ends with one extra correction pass so the returned estimate satisfies
+    the orthogonality contract.
     """
     mats = obs.matrices
     start = _start(obs, warm_start)
@@ -124,14 +125,14 @@ def hmf_solve(
     # copies, so no output shares memory with the warm start even when no step moves it
     u_g, u_l = start.u_g.copy(), start.u_l.copy()
     eta = params.step_size
-    trace = ObjectiveTrace(objective_out)
+    trace = ObjectiveTrace(objective_out, scale=0.5 * float(np.sum(m_all * m_all)))
 
     for _ in range(params.iterations):
         try:
             u_l, v_g = _correct_arrays(u_g, v_g, u_l, v_l)
         except SingularityError:
             # rank collapse after runaway growth is divergence, not bad input
-            values = trace.values
+            values = trace.values[trace.start:]
             if values and values[-1] > 1e6 * max(values[0], 1e-300):
                 trace.fail("shared factor collapsed while the objective grew")
             raise
@@ -141,7 +142,8 @@ def hmf_solve(
         u_l = u_l - eta * g_u_l
         v_l = v_l - eta * g_v_l
         # per-source objectives, summed in source order
-        trace.record(sum(objs.tolist()))
+        if trace.record(sum(objs.tolist())):
+            break
 
     u_l, v_g = _correct_arrays(u_g, v_g, u_l, v_l)
     return FactorEstimate(

@@ -20,6 +20,8 @@ from .model import FactorEstimate, ObservationSet
 from .numerics import RANK_RTOL, as_matrix, linf, sign_fixed_qr, top_eigenvectors
 
 DIVERGENCE_WINDOW = 50
+STOP_RTOL = 1e-10
+FLOOR_RTOL = 1e-12
 
 BACKENDS = ("hmf", "perpca")
 
@@ -40,34 +42,44 @@ class KktResidualReport:
 
 
 class ObjectiveTrace:
-    """Per-iteration objective record with the divergence rule both backends
-    share.
+    """Per-iteration objective record with the divergence and stopping rules
+    both backends share.
 
     record(obj) appends to values (the caller's list when given) and raises
     DivergenceError, this trace attached, when obj is not finite or when the
-    objective has risen for DIVERGENCE_WINDOW consecutive iterations.
+    objective has risen for DIVERGENCE_WINDOW consecutive iterations.  It
+    returns True, telling the loop to stop, when the objective fell by at
+    most STOP_RTOL of itself, 0 <= f_{k-1} - f_k <= STOP_RTOL * f_k, while
+    still above FLOOR_RTOL * scale, scale the objective of the empty fit (an
+    exactly fitted instance records round-off and runs its whole budget).
+    Rises, the stop test and the iteration the error names count this
+    trace's own values only, from where it started in the caller's list.
     """
 
-    def __init__(self, values: list | None = None):
+    def __init__(self, values: list | None = None, scale: float = 0.0):
         self.values = [] if values is None else values
+        self.start = len(self.values)
+        self._floor = FLOOR_RTOL * scale
         self._rises = 0
 
-    def record(self, obj: float):
+    def record(self, obj: float) -> bool:
         if not np.isfinite(obj):
             self.values.append(obj)
             self.fail("objective overflowed")
-        if self.values and obj > self.values[-1]:
+        prev = self.values[-1] if len(self.values) > self.start else None
+        if prev is not None and obj > prev:
             self._rises += 1
         else:
             self._rises = 0
         self.values.append(obj)
         if self._rises >= DIVERGENCE_WINDOW:
             self.fail(f"objective rose for {self._rises} consecutive iterations")
+        return prev is not None and 0.0 <= prev - obj <= STOP_RTOL * obj and obj > self._floor
 
     def fail(self, reason: str):
         """Raise DivergenceError for reason, naming the inner iteration."""
         raise DivergenceError(
-            f"{reason} at inner iteration {len(self.values)}",
+            f"{reason} at inner iteration {len(self.values) - self.start}",
             objective_trace=self.values,
         )
 
@@ -101,8 +113,9 @@ def spectral_init(obs: ObservationSet) -> FactorEstimate:
 
 def solve(obs: ObservationSet, params, warm_start: FactorEstimate | None = None) -> FactorEstimate:
     """Run the backend named by the type of params (HmfParams: hmf,
-    PerpcaParams: perpca) for its configured iteration budget, from
-    warm_start when given and from spectral_init otherwise.
+    PerpcaParams: perpca) until the ObjectiveTrace stopping rule or its
+    iteration cap ends the solve, from warm_start when given and from
+    spectral_init otherwise.
 
     Raises ConfigurationError for any other params object, DimensionError
     for a warm start whose ranks or shapes do not fit obs,

@@ -28,7 +28,7 @@ POWER_ITERATIONS = 20
 @dataclass(frozen=True)
 class PerpcaParams:
     step_size: float = 0.1
-    iterations: int = 500
+    iterations: int = 500  # a cap: the ObjectiveTrace stopping rule may end a solve sooner
 
     def __post_init__(self):
         if self.step_size < 0.0:
@@ -108,10 +108,11 @@ def perpca_solve(
     warm_start: FactorEstimate | None = None,
     callback=None,
 ) -> FactorEstimate:
-    """Run the retraction loop for params.iterations rounds, from warm_start
-    when given and from spectral_init otherwise; a warm start whose ranks or
-    shapes do not fit obs raises DimensionError, one with NaN or Inf entries
-    (or a Gram stack that overflows) ContractViolationError.  Each round is two
+    """Run the retraction loop for at most params.iterations rounds, from
+    warm_start when given and from spectral_init otherwise; a warm start whose
+    ranks or shapes do not fit obs raises DimensionError, one with NaN or Inf
+    entries (or a Gram stack that overflows) ContractViolationError.  Each
+    round is two
     sign-fixed QR steps (the shared basis, then the deflated local bases)
     whose spans equal those of the three polar retractions they replace, so
     only the bases inside each span differ from that iteration; a stepped
@@ -124,7 +125,9 @@ def perpca_solve(
     K_i = I - U_i U_i^T, U_i = [u_g u_l[i]]; it is evaluated in O(n1^2 r) as
     sum_i trace(S_i) - sum(U_i * S_i U_i), with the traces taken once per
     solve and S_i U_i shared with the next gradient, and recorded through
-    ObjectiveTrace, which raises DivergenceError under the shared rule.
+    ObjectiveTrace with scale sum_i trace(S_i), the objective of empty bases:
+    it raises DivergenceError under the shared divergence rule, and the loop
+    ends, after that round's callback, under the shared stopping rule.
     callback(tau, u_g, u_l), u_l the (N, n1, r2) stack, is invoked after
     every iteration, when all bases are orthonormal and the local ones are
     orthogonal to the shared one.  Ends with an exact deflation plus QR pass
@@ -139,7 +142,7 @@ def perpca_solve(
     scale = max(_lambda_max(c) for c in covs)
     eta = params.step_size / scale if scale > 0.0 else 0.0
     total = float(np.trace(covs, axis1=-2, axis2=-1).sum())
-    trace = ObjectiveTrace()
+    trace = ObjectiveTrace(scale=total)
     # [u_g u_l[i]] for every source, rewritten in place each round
     joint = np.concatenate((np.broadcast_to(u_g, u_l.shape[:-1] + (r1,)), u_l), axis=-1)
     stacked = covs @ joint
@@ -152,9 +155,11 @@ def perpca_solve(
         joint[..., :r1] = u_g
         joint[..., r1:] = u_l
         stacked = covs @ joint
-        trace.record(total - float(np.sum(joint * stacked)))
+        stop = trace.record(total - float(np.sum(joint * stacked)))
         if callback is not None:
             callback(tau + 1, u_g, u_l)
+        if stop:
+            break
 
     u_l = sign_fixed_qr(u_l - u_g @ (u_g.T @ u_l))[0]
     v_g = [m.T @ u_g for m in mats]

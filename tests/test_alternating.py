@@ -15,7 +15,7 @@ from tcmf import (
     rpca_baseline,
     run,
 )
-from tcmf import alternating
+from tcmf import alternating, perpca
 from tcmf.errors import ConfigurationError, DivergenceError
 from tcmf.numerics import linf
 
@@ -224,3 +224,36 @@ def test_run_results_stay_the_same(backend, policy):
     got = (final.lam, final.log_g, final.log_l, final.log_s)
     np.testing.assert_allclose(got, SAME_OUTPUTS[backend, policy], rtol=1e-9, atol=0)
     assert final.support_violations == 0
+
+
+# Final (log_g, log_l, log_s) of the desk perpca run at seed 0 when every
+# epoch ran its whole budget of 300 iterations (6,000 in all).
+DESK_FULL_BUDGET_FINALS = (-5.893797, -5.235646, -4.056900)
+
+
+def test_desk_perpca_stops_each_solve_on_the_rule(monkeypatch):
+    # the desk workload: 10 sources of 15 x 100, r1 = r2 = 3, spikes of 100,
+    # theoretical lambda1, step 0.1 x 300 x 20 epochs.  The stopping rule
+    # ends the inner solves after about 3,160 iterations; a loop that runs
+    # every budget again (6,000) fails the count, and one that stops too
+    # early moves the finals
+    gt = generate(SynthConfig(n_sources=10, n1=15, n2=100, r1=3, r2=3,
+                              noise_prob=0.01, noise_magnitude=100.0, seed=0))
+    obs = assemble_observations(gt)
+    lam1 = initial_lambda(obs, "theoretical", identifiability_report(gt))
+    calls = []
+    solve = perpca.perpca_solve
+
+    def counting_solve(*args, **kwargs):
+        return solve(*args, **kwargs, callback=lambda *cb: calls.append(1))
+
+    monkeypatch.setattr(perpca, "perpca_solve", counting_solve)
+    cfg = TcmfConfig(schedule=LambdaSchedule(lambda1=lam1, rho=0.9, epsilon=1e-3), epochs=20,
+                     params=PerpcaParams(step_size=0.1, iterations=300))
+    _, _, traces = run(obs, cfg, gt)
+    assert len(traces) == 20
+    assert len(calls) <= 3300
+    final = traces[-1]
+    got = (final.log_g, final.log_l, final.log_s)
+    np.testing.assert_allclose(got, DESK_FULL_BUDGET_FINALS, rtol=0, atol=1e-3)
+    assert max(t.support_violations for t in traces) == 0

@@ -28,7 +28,7 @@ from tcmf.errors import (
     SingularityError,
 )
 from tcmf.io import load_estimates, save_estimates
-from tcmf.jimf import DIVERGENCE_WINDOW, ObjectiveTrace
+from tcmf.jimf import DIVERGENCE_WINDOW, FLOOR_RTOL, STOP_RTOL, ObjectiveTrace
 from tcmf.numerics import linf
 
 from conftest import TinyInstance, orth, random_estimate, svd_spectral_init
@@ -80,6 +80,135 @@ def test_objective_trace_rejects_non_finite(bad):
         trace.record(bad)
     assert info.value.objective_trace[0] == 1.0
     assert len(info.value.objective_trace) == 2
+
+
+def test_objective_trace_stops_on_a_small_relative_decrease():
+    trace = ObjectiveTrace(scale=1e6)
+    assert trace.record(1.0 + 2.5 * STOP_RTOL) is False  # the first value has nothing to compare with
+    assert trace.record(1.0 + 2.5 * STOP_RTOL) is True  # no decrease at all
+    assert trace.record(1.0 + 2.0 * STOP_RTOL) is True  # a decrease of half the tolerance
+    assert trace.record(1.0) is False  # a decrease of twice the tolerance
+    assert trace.record(1.0 - 1e-3) is False  # a larger decrease
+    assert trace.record(1.0) is False  # a rise
+
+
+def test_objective_trace_runs_on_at_the_floor():
+    # values at FLOOR_RTOL * scale and below are round-off of an exact fit
+    floor = FLOOR_RTOL * 1e6
+    trace = ObjectiveTrace(scale=1e6)
+    assert [trace.record(v) for v in (floor, floor, 0.5 * floor, 0.5 * floor, 0.0, 0.0)] == [False] * 6
+    assert trace.record(0.0) is False
+    above = ObjectiveTrace(scale=1e6)
+    above.record(2.0 * floor)
+    assert above.record(2.0 * floor) is True
+
+
+def test_objective_trace_counts_only_its_own_values_in_a_reused_list():
+    # a list that already holds another solve's values: the first new value
+    # neither counts as a rise nor stops, and errors name this trace's iteration
+    out = [0.0]
+    trace = ObjectiveTrace(out, scale=1.0)
+    assert trace.record(0.0) is False
+    for k in range(1, DIVERGENCE_WINDOW):
+        trace.record(float(k))
+    with pytest.raises(DivergenceError) as info:
+        trace.record(float(DIVERGENCE_WINDOW))
+    assert info.value.objective_trace == out
+    assert len(out) == DIVERGENCE_WINDOW + 2
+    assert str(info.value) == (
+        f"objective rose for {DIVERGENCE_WINDOW} consecutive iterations"
+        f" at inner iteration {DIVERGENCE_WINDOW + 1}"
+    )
+
+
+def test_hmf_solve_reusing_objective_out_fails_as_a_fresh_list_does(tiny):
+    # the second solve diverges; the error names its own iteration and
+    # carries the whole list
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    diverging = HmfParams(step_size=50.0, iterations=500, beta=1e-5)
+    fresh = []
+    with pytest.raises(DivergenceError) as alone:
+        hmf_solve(obs, diverging, objective_out=fresh)
+    out = []
+    hmf_solve(obs, HmfParams(step_size=1e-3, iterations=40, beta=1e-5), objective_out=out)
+    first = list(out)
+    with pytest.raises(DivergenceError) as reused:
+        hmf_solve(obs, diverging, objective_out=out)
+    assert str(reused.value) == str(alone.value)
+    assert reused.value.objective_trace == out == first + fresh
+
+
+def _iterations_used(obs, params, warm_start=None):
+    # the estimate and the values one solve records, counted as the
+    # benchmark's tracer counts them
+    if isinstance(params, HmfParams):
+        out = []
+        return hmf_solve(obs, params, warm_start, objective_out=out), len(out)
+    calls = []
+    est = perpca_solve(obs, params, warm_start, callback=lambda *args: calls.append(args[0]))
+    assert calls == list(range(1, len(calls) + 1))
+    return est, len(calls)
+
+
+# backend -> params(step, cap), step a multiple of the backend's usual step
+BACKEND_PARAMS = {
+    "hmf": lambda step, cap: HmfParams(step_size=0.01 * step, iterations=cap, beta=1e-5),
+    "perpca": lambda step, cap: PerpcaParams(step_size=0.1 * step, iterations=cap),
+}
+
+
+@pytest.mark.parametrize("backend", list(BACKEND_PARAMS))
+def test_exactly_fitted_solve_runs_its_whole_budget(tiny, backend):
+    # the objective is round-off below the floor from the first iteration
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    assert _iterations_used(obs, BACKEND_PARAMS[backend](1.0, 300))[1] == 300
+
+
+@pytest.mark.parametrize("backend", list(BACKEND_PARAMS))
+@pytest.mark.parametrize("step,r1,r2", [(0.0, 2, 1), (1.0, 0, 0)], ids=["zero_step", "zero_ranks"])
+def test_solve_that_cannot_move_stops_at_its_second_iteration(tiny, backend, step, r1, r2):
+    # r2 = 1 leaves a local direction of every source outside the fit, so
+    # the objective stays far above the floor
+    obs = ObservationSet(matrices=tiny.mats, r1=r1, r2=r2)
+    assert _iterations_used(obs, BACKEND_PARAMS[backend](step, 300))[1] == 2
+
+
+@pytest.mark.parametrize("backend", list(BACKEND_PARAMS))
+def test_solve_records_no_more_values_than_its_cap(tiny, uneven, backend):
+    for inst in (tiny, uneven):
+        obs = ObservationSet(matrices=inst.mats, r1=2, r2=2)
+        for cap in (0, 1, 2, 7):
+            assert _iterations_used(obs, BACKEND_PARAMS[backend](1.0, cap))[1] == cap
+    # the zero cap still returns the corrected start
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    est, used = _iterations_used(obs, BACKEND_PARAMS[backend](1.0, 0))
+    start = spectral_init(obs)
+    assert used == 0
+    for i in range(3):
+        assert linf(est.reconstruction(i) - start.reconstruction(i)) < 1e-10
+    assert est.cross_orthogonality() < 1e-10
+
+
+@pytest.mark.parametrize("backend,tol", [("perpca", 1e-6), ("hmf", 1e-5)])
+def test_early_stop_lands_where_a_longer_solve_does(uneven, monkeypatch, backend, tol):
+    # uneven plus a little noise: the fit is no longer exact, so the solve
+    # converges to a positive objective and stops on the rule well inside
+    # its cap; a negative tolerance never stops, so the comparison solve
+    # runs the whole of a budget 5x the iterations used.  hmf's unscaled
+    # step contracts more slowly, so its stop leaves more of the gap
+    rng = np.random.default_rng(1)
+    mats = [m + 1e-2 * rng.standard_normal(m.shape) for m in uneven.mats]
+    obs = ObservationSet(matrices=mats, r1=2, r2=2)
+    cap = 5000
+    est, used = _iterations_used(obs, BACKEND_PARAMS[backend](1.0, cap))
+    assert 2 < used < cap // 2
+    monkeypatch.setattr(tcmf.jimf, "STOP_RTOL", -1.0)
+    longer, longer_used = _iterations_used(obs, BACKEND_PARAMS[backend](1.0, 5 * used))
+    assert longer_used == 5 * used
+    projectors = [(e.u_g @ e.u_g.T, [ul @ ul.T for ul in e.u_l]) for e in (est, longer)]
+    (g_a, l_a), (g_b, l_b) = projectors
+    assert linf(g_a - g_b) < tol
+    assert max(linf(a - b) for a, b in zip(l_a, l_b)) < tol
 
 
 def test_tracer_hooks_count_inner_iterations(tiny):
