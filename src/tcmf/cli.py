@@ -11,7 +11,6 @@ line, 65 corrupt data, 66 missing inputs.
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import io
 from .alternating import TcmfConfig, run as run_outer
@@ -89,9 +88,7 @@ def cli_run(config_path, data_dir, trace_out) -> int:
 
 def _ground_truth(data_dir, obs=None):
     """The ground truth under data_dir, checked to fit obs when given."""
-    n = io.count_sources(data_dir)
-    if not io.has_ground_truth(data_dir):
-        raise MissingInputError(f"no ground truth factors under {data_dir}")
+    n = io.count_sources(data_dir) if obs is None else obs.n_sources
     gt = io.load_ground_truth(data_dir, n)
     if obs is not None:
         gt.check_fits([m.shape for m in obs.matrices], "ground truth vs the observations")
@@ -126,7 +123,7 @@ def cli_metrics(data_dir, out_path=None) -> int:
         raise DimensionError(f"estimated sparse parts do not match the ground truth shapes {shapes}")
     text = io.format_fields(recovery_errors(est, s_hat, gt))
     if out_path is not None:
-        Path(out_path).write_text(text)
+        io.atomic_write(out_path, text.encode())
     print(text, end="")
     return EXIT_OK
 

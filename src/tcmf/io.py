@@ -31,7 +31,6 @@ TRACE_HEADER = "epoch,lambda,linf_g,linf_l,linf_s,log_g,log_l,log_s,support_viol
 TIMING_ENV = "TCMF_TRACE_TIMING"
 
 REPORT_FILE = "identifiability.txt"
-MANIFEST_FILE = "manifest.txt"
 ESTIMATES_DIR = "estimates"
 
 
@@ -40,8 +39,11 @@ def format_fields(record) -> str:
     return "".join(f"{f.name}={getattr(record, f.name)!r}\n" for f in fields(record))
 
 
-def _atomic_write_bytes(path, payload: bytes):
+def atomic_write(path, payload: bytes):
+    """Write payload to path through a temp file plus rename, creating the
+    directory first."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -57,7 +59,7 @@ def write_matrix(path, m):
     m = as_matrix(m)
     header = _HEADER.pack(MAGIC, m.shape[0], m.shape[1])
     payload = np.ascontiguousarray(m, dtype="<f8").tobytes()
-    _atomic_write_bytes(path, header + payload)
+    atomic_write(path, header + payload)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -104,35 +106,26 @@ _CHOICE_KEYS = {
 _EXPECTED = {int: "an integer", float: "a number"}
 
 
-def _parse_key_values(text: str, error, where: str = "", keys=None) -> dict:
-    """key -> value for the key = value lines of text; blank lines and
-    #-comments are skipped.  A line without '=', a repeated key, or a key
-    outside keys (when given) raises error, its message prefixed by where
-    and the line number."""
+def parse_run_config(text: str) -> RunConfig:
+    """Parse key=value lines; blank lines and #-comments are skipped.
+    A line without '=' and unknown, repeated, missing or ill-typed keys are
+    configuration errors, and so are sizes and rank targets SynthConfig
+    rejects.  Each key takes its type from its RunConfig field."""
+    types = {f.name: f.type for f in fields(RunConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise error(f"{where}line {lineno}: expected key=value, got {raw!r}")
+            raise ConfigurationError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if keys is not None and key not in keys:
-            raise error(f"{where}line {lineno}: unknown key {key!r}")
+        if key not in types:
+            raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         if key in values:
-            raise error(f"{where}line {lineno}: repeated key {key!r}")
+            raise ConfigurationError(f"line {lineno}: repeated key {key!r}")
         values[key] = val.strip()
-    return values
-
-
-def parse_run_config(text: str) -> RunConfig:
-    """Parse key=value lines; blank lines and #-comments are skipped.
-    Unknown, repeated, missing or ill-typed keys are configuration errors, and
-    so are sizes and rank targets SynthConfig rejects.  Each key takes its
-    type from its RunConfig field."""
-    types = {f.name: f.type for f in fields(RunConfig)}
-    values = _parse_key_values(text, ConfigurationError, keys=types)
     missing = [k for k in types if k not in values]
     if missing:
         raise ConfigurationError(f"missing keys: {', '.join(missing)}")
@@ -204,29 +197,15 @@ def save_dataset(directory, gt: GroundTruth, obs: ObservationSet, report: Identi
     """Write observations, ground truth factors and the identifiability
     report: 5N+1 matrix files plus the report text."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     for i, m in enumerate(obs.matrices, start=1):
         write_matrix(_obs_path(directory, i), m)
     _write_factors(directory, "", gt, gt.s)
-    _atomic_write_bytes(directory / REPORT_FILE, format_fields(report).encode())
+    atomic_write(directory / REPORT_FILE, format_fields(report).encode())
 
 
 def count_sources(directory) -> int:
-    """Source count from the manifest when present, else from consecutive
-    M_i.mat files starting at 1."""
-    directory = Path(directory)
-    manifest = directory / MANIFEST_FILE
-    if manifest.exists():
-        val = _parse_key_values(manifest.read_text(), CorruptDataError, f"{manifest}: ").get("n_sources")
-        if val is None:
-            raise CorruptDataError(f"{manifest}: no n_sources line")
-        try:
-            n = int(val)
-        except ValueError:
-            raise CorruptDataError(f"{manifest}: bad n_sources value {val!r}")
-        if n < 1:
-            raise CorruptDataError(f"{manifest}: n_sources must be positive")
-        return n
+    """The number of consecutive M_i.mat files under directory, starting at
+    M_1.mat."""
     n = 0
     while _obs_path(directory, n + 1).exists():
         n += 1
@@ -252,14 +231,11 @@ def load_ground_truth(directory, n_sources: int) -> GroundTruth:
 
 def save_estimates(directory, est: FactorEstimate, s_hat: SparseEstimate):
     directory = Path(directory) / ESTIMATES_DIR
-    directory.mkdir(parents=True, exist_ok=True)
     _write_factors(directory, _EST_PREFIX, est, s_hat.s)
 
 
 def load_estimates(directory, n_sources: int):
     directory = Path(directory) / ESTIMATES_DIR
-    if not directory.exists():
-        raise MissingInputError(f"no estimates under {directory}")
     u_g, v_g, u_l, v_l, s = _read_factors(directory, _EST_PREFIX, n_sources)
     est = FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)
     return est, SparseEstimate.from_matrices(s)
@@ -284,4 +260,4 @@ def format_trace_csv(traces) -> str:
 
 
 def write_trace_csv(path, traces):
-    _atomic_write_bytes(path, format_trace_csv(traces).encode())
+    atomic_write(path, format_trace_csv(traces).encode())

@@ -126,9 +126,10 @@ class TestRun:
 
     def test_run_saves_estimates_into_data_dir(self, tmp_path):
         cfg, out = synth(tmp_path, epochs="2", inner_iterations="50")
-        trace = tmp_path / "trace.csv"
+        trace = tmp_path / "new" / "nested" / "trace.csv"
         assert main(["run", "--config", str(cfg), "--data", str(out),
                      "--out", str(trace)]) == EXIT_OK
+        assert len(read_rows(trace)) == 2
         est = out / "estimates"
         assert (est / "EST_U_G.mat").exists()
         n = int(BASE_CONFIG["n_sources"])
@@ -190,7 +191,7 @@ class TestRun:
     def test_divergent_step_size_exits_2_with_partial_trace(self, tmp_path, capsys):
         cfg, out = synth(tmp_path, lambda1_mode="data_driven",
                          step_size="50.0", inner_iterations="300")
-        trace = tmp_path / "trace.csv"
+        trace = tmp_path / "new" / "trace.csv"
         assert main(["run", "--config", str(cfg), "--data", str(out),
                      "--out", str(trace)]) == EXIT_DIVERGED
         assert trace.exists()
@@ -249,6 +250,11 @@ class TestFailureExitCodes:
         trace = tmp_path / "trace.csv"
         assert main(["run", "--config", str(cfg), "--data", str(out),
                      "--out", str(trace)]) == EXIT_CORRUPT
+        # shorter than the 24-byte header
+        path.write_bytes(bytes(blob[:10]))
+        assert main(["run", "--config", str(cfg), "--data", str(out),
+                     "--out", str(trace)]) == EXIT_CORRUPT
+        assert not trace.exists()
 
     def test_data_whose_gram_matrices_overflow_exits_65(self, tmp_path, capsys):
         cfg, out = synth(tmp_path, backend="perpca", step_size="0.1",
@@ -260,6 +266,18 @@ class TestFailureExitCodes:
             assert main(["run", "--config", str(cfg), "--data", str(out),
                          "--out", str(trace)]) == EXIT_CORRUPT
         assert "invalid data" in capsys.readouterr().err
+
+    def test_out_naming_a_directory_is_an_io_error(self, tmp_path, capsys):
+        cfg, out = synth(tmp_path, epochs="1", inner_iterations="20")
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["run", "--config", str(cfg), "--data", str(out),
+                     "--out", str(taken)]) == 1
+        assert "io error" in capsys.readouterr().err
+        # the temp file is removed and nothing else is written
+        assert list(taken.iterdir()) == []
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith("taken.")]
+        assert not (out / "estimates").exists()
 
     def test_missing_data_dir_exits_66(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg")
@@ -372,6 +390,16 @@ class TestCheck:
         (out / "V_L_1.mat").unlink()
         assert main(["check", "--data", str(out)]) == EXIT_MISSING
 
+    def test_check_single_source_budget_ratio_is_inf(self, tmp_path, capsys):
+        # a lone local subspace is aligned with itself: theta = 0, so the budget is 0
+        _, out = synth(tmp_path, n_sources="1", noise_prob="0.1")
+        capsys.readouterr()
+        assert main(["check", "--data", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "theta=0.0" in lines
+        assert float(next(l for l in lines if l.startswith("alpha=")).split("=")[1]) > 0.0
+        assert lines[-1] == "alpha_budget_ratio=inf"
+
     def test_check_alpha_zero_for_clean_data(self, tmp_path, capsys):
         _, out = synth(tmp_path, name="clean", noise_prob="0.0")
         assert main(["check", "--data", str(out)]) == EXIT_OK
@@ -406,11 +434,12 @@ class TestMetrics:
         trace = tmp_path / "trace.csv"
         assert main(["run", "--config", str(cfg), "--data", str(out),
                      "--out", str(trace)]) == EXIT_OK
-        report = tmp_path / "metrics.txt"
-        assert main(["metrics", "--data", str(out), "--out", str(report)]) == EXIT_OK
+        report = tmp_path / "new" / "metrics.txt"
         capsys.readouterr()
-        assert report.exists()
+        assert main(["metrics", "--data", str(out), "--out", str(report)]) == EXIT_OK
+        assert report.read_text() == capsys.readouterr().out
         assert "log_s" in report.read_text()
+        assert sorted(p.name for p in report.parent.iterdir()) == ["metrics.txt"]
 
     def test_metrics_before_run_exits_66(self, tmp_path):
         _, out = synth(tmp_path)

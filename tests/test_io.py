@@ -133,6 +133,8 @@ def test_run_config_is_a_synth_config():
     ("bad_int", None),
     ("bad_choice", None),
     ("missing", None),
+    ("non_finite", "rho = nan"),
+    ("non_finite", "step_size = inf"),
 ])
 def test_parse_run_config_rejections(mutation, fragment):
     text = VALID_CONFIG
@@ -146,7 +148,10 @@ def test_parse_run_config_rejections(mutation, fragment):
         text = text.replace("backend = hmf", "backend = jive")
     elif mutation == "missing":
         text = text.replace("beta = 1e-5\n", "")
-    with pytest.raises(ConfigurationError):
+    elif mutation == "non_finite":
+        key = fragment.partition(" = ")[0]
+        text = text.replace(next(l for l in text.splitlines() if l.startswith(key + " =")), fragment)
+    with pytest.raises(ConfigurationError, match="must be finite" if mutation == "non_finite" else None):
         parse_run_config(text)
 
 
@@ -191,28 +196,6 @@ def test_dataset_file_count(tmp_path):
     assert len(mats) == 5 * 4 + 1
     assert "identifiability.txt" in entries
     assert len(entries) == 5 * 4 + 2
-
-
-def test_count_sources_manifest_override(tmp_path):
-    make_dataset(tmp_path, n_sources=3)
-    (tmp_path / "manifest.txt").write_text("n_sources = 2\n")
-    assert count_sources(tmp_path) == 2
-    (tmp_path / "manifest.txt").write_text("n_sources = zero\n")
-    with pytest.raises(CorruptDataError):
-        count_sources(tmp_path)
-
-
-def test_count_sources_manifest_key_matches_exactly(tmp_path):
-    make_dataset(tmp_path, n_sources=3)
-    manifest = tmp_path / "manifest.txt"
-    manifest.write_text("n_sources_total = 2\n")
-    with pytest.raises(CorruptDataError, match="no n_sources line"):
-        count_sources(tmp_path)
-    manifest.write_text("# pinned\nn_sources_total = 3\n\nn_sources = 2\n")
-    assert count_sources(tmp_path) == 2
-    manifest.write_text("n_sources = 2\nn_sources = 3\n")
-    with pytest.raises(CorruptDataError, match="line 2: repeated key 'n_sources'"):
-        count_sources(tmp_path)
 
 
 def test_parse_run_config_errors_name_the_line():
