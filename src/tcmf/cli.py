@@ -9,6 +9,7 @@ line, 65 corrupt data, 66 missing inputs.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -57,6 +58,8 @@ def _check_data_matches_config(rc, obs):
 
 def cli_run(config_path, data_dir, trace_out) -> int:
     """Factor the dataset under data_dir and write the epoch trace CSV."""
+    if os.path.isdir(trace_out):
+        raise IsADirectoryError(f"--out names a directory: {trace_out}")
     rc = io.load_run_config(config_path)
     obs = io.load_observations(data_dir, rc.r1, rc.r2)
     _check_data_matches_config(rc, obs)

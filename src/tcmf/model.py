@@ -194,17 +194,12 @@ def assemble_observations(gt: GroundTruth) -> ObservationSet:
     return ObservationSet(matrices=mats, r1=gt.r1, r2=gt.r2)
 
 
-def measure_sparsity(s, tol: float = 0.0) -> float:
+def measure_sparsity(s) -> float:
     """Smallest alpha such that every column of s has at most alpha*n1 nonzero
-    entries and every row at most alpha*n2.
-
-    An entry counts as nonzero iff |x| > tol; the default tol=0 matches
-    synthetic data, which carries exact zeros.  Pass a small tol for data
-    that went through lossy arithmetic.
-    """
+    entries and every row at most alpha*n2."""
     s = as_matrix(s)
     n1, n2 = s.shape
-    nz = np.abs(s) > tol
+    nz = np.abs(s) > 0.0
     col_frac = float(nz.sum(axis=0).max(initial=0)) / n1
     row_frac = float(nz.sum(axis=1).max(initial=0)) / n2
     return max(col_frac, row_frac)

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from tcmf import SparseEstimate, io
+from tcmf import SparseEstimate, cli, io
 from tcmf.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CORRUPT,
@@ -267,14 +267,18 @@ class TestFailureExitCodes:
                          "--out", str(trace)]) == EXIT_CORRUPT
         assert "invalid data" in capsys.readouterr().err
 
-    def test_out_naming_a_directory_is_an_io_error(self, tmp_path, capsys):
+    def test_out_naming_a_directory_is_an_io_error(self, tmp_path, capsys, monkeypatch):
         cfg, out = synth(tmp_path, epochs="1", inner_iterations="20")
         taken = tmp_path / "taken"
         taken.mkdir()
+        solves = []
+        monkeypatch.setattr(cli, "run_outer", lambda *args: solves.append(args))
         assert main(["run", "--config", str(cfg), "--data", str(out),
                      "--out", str(taken)]) == 1
         assert "io error" in capsys.readouterr().err
-        # the temp file is removed and nothing else is written
+        # rejected before the solve, not after it
+        assert solves == []
+        # nothing is written: no temp file, trace or estimates
         assert list(taken.iterdir()) == []
         assert not [p for p in tmp_path.iterdir() if p.name.startswith("taken.")]
         assert not (out / "estimates").exists()

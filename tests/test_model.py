@@ -191,12 +191,8 @@ def test_measure_sparsity_examples():
     assert measure_sparsity(np.ones((4, 6))) == 1.0
     perm = np.eye(4)[[2, 0, 3, 1]]
     assert measure_sparsity(perm) == 0.25
-
-
-def test_measure_sparsity_tolerance_parameter():
-    s = np.array([[1e-13, 0.0], [0.5, 0.0]])
-    assert measure_sparsity(s) == 1.0  # strict |x| > 0 by default
-    assert measure_sparsity(s, tol=1e-12) == 0.5
+    # any entry other than an exact zero counts
+    assert measure_sparsity(np.array([[1e-13, 0.0], [0.5, 0.0]])) == 1.0
 
 
 def test_measure_incoherence_examples():
