@@ -71,20 +71,20 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     Backend divergence propagates with the completed epoch traces attached
     to the raised error.
     """
-    mats = obs.matrices
     est: FactorEstimate | None = None
-    s_hat: SparseEstimate | None = None
     traces: list[EpochTrace] = []
     lam = cfg.schedule.lambda1
     try:
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
-            recon = est.reconstructions() if est is not None else [np.zeros_like(m) for m in mats]
-            s_mats = [_threshold(m - r, lam) for m, r in zip(mats, recon)]
+            s_hat, s_mats, cleaned = None, [], []  # only est and lam carry over
+            for i, m in enumerate(obs.matrices):
+                s_mats.append(_threshold(m if est is None else m - est.reconstruction(i), lam))
+                cleaned.append(m - s_mats[-1])
             s_hat = SparseEstimate(s=s_mats)
-            cleaned = [m - s for m, s in zip(mats, s_mats)]
             warm = est if cfg.warm_start_policy == "carry_forward" else None
             est = solve(ObservationSet(matrices=cleaned, r1=obs.r1, r2=obs.r2), cfg.params, warm)
+            del cleaned  # spent: the metrics' temporaries take its room
             wall_ms = (time.perf_counter() - t0) * 1e3
             errors = {}
             if gt is not None:

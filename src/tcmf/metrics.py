@@ -30,6 +30,8 @@ def _log10_floored(x: float) -> float:
     return float(np.log10(max(x, LOG_FLOOR)))
 
 
+# a diverging run's errors overflow to inf, recorded as such, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def recovery_errors(est: FactorEstimate, s_hat: SparseEstimate, gt: GroundTruth) -> RecoveryErrors:
     n = gt.n_sources
     if est.n_sources != n or len(s_hat.s) != n:

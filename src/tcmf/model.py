@@ -91,9 +91,6 @@ class FactorEstimate:
     def reconstruction(self, i: int) -> np.ndarray:
         return self.u_g @ self.v_g[i].T + self.u_l[i] @ self.v_l[i].T
 
-    def reconstructions(self) -> list:
-        return [self.reconstruction(i) for i in range(self.n_sources)]
-
     def cross_orthogonality(self) -> float:
         """Worst |u_g^T u_l[i]| entry across sources."""
         return linf(self.u_g.T @ self.u_l)

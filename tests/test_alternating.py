@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,49 @@ def test_spectral_work_stays_at_the_size_of_the_answer(monkeypatch, params):
     run(obs, tiny_cfg(lam1, epochs=2, params=params, warm_start_policy="fresh_spectral"), gt)
     assert shapes
     assert max(min(shape[-2:]) for shape in shapes) <= obs.r1 + obs.r2
+
+
+def _wide_instance():
+    # few wide sources, where the full-size stacks dominate a run's memory
+    gt = generate(SynthConfig(n_sources=4, n1=20, n2=2000, r1=2, r2=2,
+                              noise_prob=0.01, noise_magnitude=100.0, seed=3))
+    obs = assemble_observations(gt)
+    return gt, obs, initial_lambda(obs, "theoretical", identifiability_report(gt))
+
+
+@pytest.mark.parametrize("policy", ["fresh_spectral", "carry_forward"])
+def test_run_holds_one_epochs_stacks_at_a_time(policy):
+    # beside the data and the truth, an epoch needs its sparse part and its
+    # cleaned data (about 2.6 data-sizes with the solve's temporaries).  A
+    # loop that keeps the last epoch's stacks and a list of reconstructions
+    # peaks at 4.5 or more; one that keeps the cleaned data through the
+    # metrics, at about 3.5
+    gt, obs, lam1 = _wide_instance()
+    cfg = tiny_cfg(lam1, epochs=3, rho=0.9, params=PerpcaParams(step_size=0.1, iterations=5),
+                   warm_start_policy=policy)
+    data_bytes = sum(m.nbytes for m in obs.matrices)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(obs, cfg, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / data_bytes <= 3.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_run_records_overflowed_errors_without_warnings():
+    # epoch 2 ends with entries near 1e212, so its squared errors overflow
+    # to inf; epoch 3 then diverges and only DivergenceError must surface
+    gt, obs, lam1 = _wide_instance()
+    cfg = tiny_cfg(lam1, epochs=3, rho=0.9, params=HmfParams(step_size=5e-3, iterations=5, beta=1e-5))
+    with pytest.raises(DivergenceError) as info:
+        run(obs, cfg, gt)
+    traces = info.value.epoch_traces
+    assert len(traces) == 2
+    assert traces[1].log_g == np.inf and traces[1].log_l == np.inf
 
 
 # Final (lam, log_g, log_l, log_s) on criterion 12's instance, one row per

@@ -229,7 +229,7 @@ def test_tracer_hooks_count_inner_iterations(tiny):
 def test_factor_estimate_shapes_and_products(tiny):
     est = tiny.exact_estimate()
     assert est.n_sources == 3 and est.r1 == 2 and est.r2 == 2
-    recs = est.reconstructions()
+    recs = [est.reconstruction(i) for i in range(est.n_sources)]
     for i in range(3):
         assert np.array_equal(recs[i], est.reconstruction(i))
         assert np.allclose(recs[i], tiny.mats[i])
@@ -277,7 +277,8 @@ def test_overflowing_gram_stack_is_a_contract_violation(tiny, params):
 
 
 def _spans(est):
-    return [est.u_g @ est.u_g.T] + [ul @ ul.T for ul in est.u_l] + est.reconstructions()
+    return ([est.u_g @ est.u_g.T] + [ul @ ul.T for ul in est.u_l]
+            + [est.reconstruction(i) for i in range(est.n_sources)])
 
 
 @pytest.mark.parametrize("instance", ["tiny", "uneven"])
@@ -357,7 +358,7 @@ def test_solve_recovers_noiseless_products(request, params, instance):
     assert_source_shapes(est, inst.mats, 2, 2)
     assert inst.product_error(est) <= 1e-3
     assert est.cross_orthogonality() <= 1e-8
-    for rec in est.reconstructions():
+    for rec in [est.reconstruction(i) for i in range(est.n_sources)]:
         assert np.isfinite(rec).all()
 
 
@@ -431,7 +432,7 @@ def test_solve_reconstruction_rank_bounded():
     mats = tuple(rng.standard_normal((9, 14)) for _ in range(2))  # full rank data
     obs = ObservationSet(matrices=mats, r1=2, r2=1)
     est = solve(obs, HmfParams(step_size=1e-3, iterations=40, beta=1e-5))
-    for rec in est.reconstructions():
+    for rec in [est.reconstruction(i) for i in range(est.n_sources)]:
         s = np.linalg.svd(rec, compute_uv=False)
         assert np.sum(s > 1e-8 * s[0]) <= 3
 
