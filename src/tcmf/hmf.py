@@ -34,12 +34,12 @@ class HmfParams:
     beta: float = 1e-5
 
     def __post_init__(self):
-        if self.step_size < 0.0:
-            raise ConfigurationError("step_size must be nonnegative")
+        if not 0.0 <= self.step_size < np.inf:
+            raise ConfigurationError("step_size must be nonnegative and finite")
         if self.iterations < 0:
             raise ConfigurationError("iterations must be nonnegative")
-        if self.beta < 0.0:
-            raise ConfigurationError("beta must be nonnegative")
+        if not 0.0 <= self.beta < np.inf:
+            raise ConfigurationError("beta must be nonnegative and finite")
 
 
 def hmf_objective(est: FactorEstimate, matrices, beta: float) -> float:

@@ -2,15 +2,17 @@
 retraction.
 
 Works on the covariances S_i = M_i M_i^T (the problem's Gram stack), so the
-per-iteration cost does not depend on the column counts.  Each iteration
-takes a variance-ascent step along the projected covariance directions,
-then two sign-fixed QR steps: the shared basis becomes the orthonormal
-factor of the average of its stepped per-source copies, and every stepped
-local basis that of itself deflated against the new shared one.  The step,
-the average and the deflation are right-equivariant and only the spans
-reach the outputs, so the iterates span what the generalized polar
-retraction (generalized_retraction) of each step would; only the bases
-inside the spans differ.  Coefficient factors are read off as v = M^T u.
+per-iteration cost does not depend on the column counts.  The iterate is the
+(N, n1, r1 + r2) stack of joint bases [u_g u_l[i]].  Each iteration takes a
+variance-ascent step along the projected covariance directions, replaces the
+shared columns of every source by their average, and orthonormalizes the
+stack with one Cholesky QR: the shared columns become the orthonormal factor
+of the averaged shared step, and every local block that of its step deflated
+against the new shared basis.  The step, the average and the deflation are
+right-equivariant and only the spans reach the outputs, so the iterates span
+what the generalized polar retraction (generalized_retraction) of each step
+would; only the bases inside the spans differ.  Coefficient factors are read
+off as v = M^T u.
 """
 
 from dataclasses import dataclass
@@ -31,8 +33,8 @@ class PerpcaParams:
     iterations: int = 500  # a cap: the ObjectiveTrace stopping rule may end a solve sooner
 
     def __post_init__(self):
-        if self.step_size < 0.0:
-            raise ConfigurationError("step_size must be nonnegative")
+        if not 0.0 <= self.step_size < np.inf:
+            raise ConfigurationError("step_size must be nonnegative and finite")
         if self.iterations < 0:
             raise ConfigurationError("iterations must be nonnegative")
 
@@ -57,12 +59,23 @@ def generalized_retraction(u, v) -> np.ndarray:
 
 
 def _orthonormalize(x: np.ndarray) -> np.ndarray:
-    # the q of sign_fixed_qr(x), unchecked; r_jj^2 <= PSD_MIN_EIG (the floor
-    # inv_sqrt_psd puts on the Gram's eigenvalues) means rank deficient
-    q, r = sign_fixed_qr(x)
-    if np.any(np.diagonal(r, axis1=-2, axis2=-1) ** 2 <= PSD_MIN_EIG):
+    # the q of sign_fixed_qr(x) by one Cholesky QR, x L^-T with L L^T = x^T x,
+    # unchecked.  Its round-off grows as cond(x)^2.  A loop step is orthogonal
+    # to the bases it leaves (x^T x = I + eta^2 G^T G >= I) until the shared
+    # average adds O(eta) cross terms, so cond(x) stays near 1.
+    # L_jj^2 <= PSD_MIN_EIG (the floor inv_sqrt_psd puts on the Gram's
+    # eigenvalues) means rank deficient; a Gram matrix that overflows raises
+    # OverflowError
+    gram = x.swapaxes(-1, -2) @ x
+    if not np.isfinite(gram).all():
+        raise OverflowError("stepped basis overflowed")
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as err:
+        raise SingularityError("stepped basis is rank deficient; retraction undefined") from err
+    if np.any(np.diagonal(chol, axis1=-2, axis2=-1) ** 2 <= PSD_MIN_EIG):
         raise SingularityError("stepped basis is rank deficient; retraction undefined")
-    return q
+    return x @ np.linalg.inv(chol).swapaxes(-1, -2)
 
 
 def perpca_gradient(u_g, u_l, s) -> np.ndarray:
@@ -78,30 +91,33 @@ def perpca_gradient(u_g, u_l, s) -> np.ndarray:
     lead = np.broadcast_shapes(u_g.shape[:-2], u_l.shape[:-2], s.shape[:-2])
     u_l = np.broadcast_to(u_l, lead + u_l.shape[-2:])
     joint = np.concatenate((np.broadcast_to(u_g, lead + u_g.shape[-2:]), u_l), axis=-1)
-    return _gradient(u_g, u_l, s @ joint)
+    return _gradient(joint, s @ joint)
 
 
-def _gradient(u_g: np.ndarray, u_l: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    # perpca_gradient without its input checks, from the product S [u_g u_l]
-    shared = u_g @ (u_g.swapaxes(-1, -2) @ stacked)
-    return stacked - shared - u_l @ (u_l.swapaxes(-1, -2) @ stacked)
+def _gradient(joint: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    # perpca_gradient without its input checks, from the orthonormal
+    # [u_g u_l] and the product S [u_g u_l]
+    return stacked - joint @ (joint.swapaxes(-1, -2) @ stacked)
 
 
 def _lambda_max(c: np.ndarray) -> float:
-    # deterministic power iteration; only used to scale the step size
-    n = c.shape[0]
+    # the largest eigenvalue over a stack (..., n, n), by a deterministic
+    # power iteration on every slice at once; only used to scale the step
+    # size.  A slice whose iterate vanishes stays at zero and reads 0
+    n = c.shape[-1]
     if n == 0:
         return 0.0
-    v = np.full(n, 1.0 / np.sqrt(n))
+    v = np.full(c.shape[:-1] + (1,), 1.0 / np.sqrt(n))
     for _ in range(POWER_ITERATIONS):
         w = c @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(v @ (c @ v))
+        norm = np.linalg.norm(w, axis=-2, keepdims=True)
+        v = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0.0)
+    return float(np.max(v.swapaxes(-1, -2) @ (c @ v)))
 
 
+# one scope per solve: a diverging step overflows before the objective does,
+# and numpy's warnings would bury the DivergenceError that follows
+@np.errstate(over="ignore", invalid="ignore")
 def perpca_solve(
     obs: ObservationSet,
     params: PerpcaParams,
@@ -112,11 +128,11 @@ def perpca_solve(
     warm_start when given and from spectral_init otherwise; a warm start whose
     ranks or shapes do not fit obs raises DimensionError, one with NaN or Inf
     entries (or a Gram stack that overflows) ContractViolationError.  Each
-    round is two
-    sign-fixed QR steps (the shared basis, then the deflated local bases)
-    whose spans equal those of the three polar retractions they replace, so
-    only the bases inside each span differ from that iteration; a stepped
-    basis that loses rank raises SingularityError.
+    round is one step of the joint stack, the shared average and one
+    Cholesky QR (see the module docstring), whose spans equal those of the
+    three polar retractions they replace; a stepped basis that loses rank
+    raises SingularityError, and one whose Gram matrix overflows
+    DivergenceError naming the round.
 
     The step size is params.step_size divided by the largest covariance
     eigenvalue across sources (estimated by power iteration), so the default
@@ -137,23 +153,24 @@ def perpca_solve(
     # warm starts from other backends are only near-orthonormal
     start = renormalize(_start(obs, warm_start))
     u_g, u_l = start.u_g, start.u_l
-    r1 = obs.r1
+    n, r1 = len(mats), obs.r1
     covs = obs.grams
-    scale = max(_lambda_max(c) for c in covs)
+    scale = _lambda_max(covs)
     eta = params.step_size / scale if scale > 0.0 else 0.0
     total = float(np.trace(covs, axis1=-2, axis2=-1).sum())
     trace = ObjectiveTrace(scale=total)
-    # [u_g u_l[i]] for every source, rewritten in place each round
+    # [u_g u_l[i]] for every source
     joint = np.concatenate((np.broadcast_to(u_g, u_l.shape[:-1] + (r1,)), u_l), axis=-1)
     stacked = covs @ joint
 
     for tau in range(params.iterations):
-        grad = _gradient(u_g, u_l, stacked)
-        u_g = _orthonormalize((u_g + eta * grad[..., :r1]).mean(axis=0))
-        x = u_l + eta * grad[..., r1:]
-        u_l = _orthonormalize(x - u_g @ (u_g.T @ x))
-        joint[..., :r1] = u_g
-        joint[..., r1:] = u_l
+        step = joint + eta * _gradient(joint, stacked)
+        step[..., :r1] = step[..., :r1].sum(axis=0) / n
+        try:
+            joint = _orthonormalize(step)
+        except OverflowError:
+            trace.record(np.inf)  # raises DivergenceError naming this round
+        u_g, u_l = joint[0, :, :r1], joint[..., r1:]
         stacked = covs @ joint
         stop = trace.record(total - float(np.sum(joint * stacked)))
         if callback is not None:

@@ -25,6 +25,12 @@ def test_params_validation():
         HmfParams(iterations=-1)
     with pytest.raises(ConfigurationError):
         HmfParams(beta=-1e-6)
+    # NaN fails every comparison; a NaN step used to reach the solve and fail
+    # there as a SingularityError
+    for field in ("step_size", "beta"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match=f"{field} must be nonnegative and finite"):
+                HmfParams(**{field: bad})
 
 
 def test_objective_zero_at_exact_factors(tiny):

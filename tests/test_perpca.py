@@ -10,7 +10,7 @@ from tcmf import (
     renormalize,
     spectral_init,
 )
-from tcmf.errors import ConfigurationError, ContractViolationError, DimensionError, SingularityError
+from tcmf.errors import ConfigurationError, ContractViolationError, DimensionError, DivergenceError, SingularityError
 from tcmf import perpca
 from tcmf.numerics import PSD_MIN_EIG, linf, sign_fixed_qr
 from tcmf.perpca import _lambda_max
@@ -24,6 +24,11 @@ def test_params_validation():
         PerpcaParams(step_size=-0.1)
     with pytest.raises(ConfigurationError):
         PerpcaParams(iterations=-5)
+    # NaN fails every comparison; it used to reach the solve and fail there
+    # as an overflowed objective
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="step_size must be nonnegative and finite"):
+            PerpcaParams(step_size=bad)
 
 
 def test_retraction_identity_on_orthonormal():
@@ -215,37 +220,38 @@ def test_gradient_stack_matches_slices_bitwise(tiny):
 
 
 def test_solve_matches_per_source_reference(uneven):
-    # the loop over sources the solver replaced, built from the public
-    # per-source primitives and the rank rule; the arithmetic is the same,
-    # so bits must match
+    # the loop over sources the solver replaced, one source at a time: each
+    # joint basis [u_g u_l[i]] steps along the public perpca_gradient, the
+    # shared columns become their average accumulated in source order, and
+    # every slice takes its own Cholesky QR under the rank rule; the
+    # arithmetic is the same, so bits must match
     obs = ObservationSet(matrices=uneven.mats, r1=2, r2=2)
     params = PerpcaParams(step_size=0.1, iterations=5)
     seen = []
     perpca_solve(obs, params, callback=lambda tau, u_g, u_l: seen.append((u_g, u_l)))
 
     def orthonormalize(x):
-        q, r = sign_fixed_qr(x)
-        assert np.all(np.diag(r) ** 2 > PSD_MIN_EIG)
-        return q
+        chol = np.linalg.cholesky(x.T @ x)
+        assert np.all(np.diag(chol) ** 2 > PSD_MIN_EIG)
+        return x @ np.linalg.inv(chol).T
 
     start = spectral_init(ObservationSet(matrices=uneven.mats, r1=2, r2=2))
     u_g = orth(start.u_g)
-    u_l = [orth(ul - u_g @ (u_g.T @ ul)) for ul in start.u_l]
+    joints = [np.hstack((u_g, orth(ul - u_g @ (u_g.T @ ul)))) for ul in start.u_l]
     covs = [m @ m.T for m in uneven.mats]
     eta = params.step_size / max(_lambda_max(c) for c in covs)
     assert len(seen) == 5
     for got_g, got_l in seen:
+        steps = [j + eta * perpca_gradient(j[:, :2], j[:, 2:], c) for j, c in zip(joints, covs)]
         acc = np.zeros_like(u_g)
-        steps = []
-        for i, c in enumerate(covs):
-            grad = perpca_gradient(u_g, u_l[i], c)
-            acc += u_g + eta * grad[:, :2]
-            steps.append(u_l[i] + eta * grad[:, 2:])
-        u_g = orthonormalize(acc / len(covs))
-        u_l = [orthonormalize(x - u_g @ (u_g.T @ x)) for x in steps]
-        assert np.array_equal(got_g, u_g)
-        for a, b in zip(got_l, u_l):
-            assert np.array_equal(a, b)
+        for x in steps:
+            acc += x[:, :2]
+        for x in steps:
+            x[:, :2] = acc / len(steps)
+        joints = [orthonormalize(x) for x in steps]
+        assert np.array_equal(got_g, joints[0][:, :2])
+        for a, j in zip(got_l, joints):
+            assert np.array_equal(a, j[:, 2:])
 
 
 def _recorded_solve(monkeypatch, obs, params):
@@ -306,7 +312,7 @@ def test_orthonormalize_rejects_a_rank_deficient_slice():
 
 
 def test_solve_loop_takes_no_eigendecomposition(tiny, monkeypatch):
-    # the retraction is two QR steps; a loop that slides back to eigh (three
+    # the retraction is one Cholesky QR; a loop that slides back to eigh (three
     # Gram-stack eigh calls per iteration with the polar retraction) fails
     calls = []
     eigh = np.linalg.eigh
@@ -339,3 +345,84 @@ def test_objective_is_the_variance_outside_the_bases(request, monkeypatch, insta
             want += np.trace(k @ m @ m.T @ k)
         assert want > 1.0
         assert obj == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def _ill_conditioned(rng, shape, cond):
+    # matrices of the given shape whose singular values span [1/cond, 1]
+    *lead, n, r = shape
+    u = np.linalg.qr(rng.standard_normal((*lead, n, r)))[0]
+    w = np.linalg.qr(rng.standard_normal((*lead, r, r)))[0]
+    return (u * np.logspace(0, -np.log10(cond), r)) @ w
+
+
+@pytest.mark.parametrize("shape,cond", [
+    ((9, 4), None), ((5, 9, 4), None), ((9, 0), None), ((5, 9, 0), None), ((5, 9, 4), 1e3),
+], ids=["matrix", "stack", "no_columns", "stack_no_columns", "cond_1e3"])
+def test_orthonormalize_matches_sign_fixed_qr(shape, cond):
+    # Cholesky QR's factor equals the sign-fixed Householder one up to
+    # round-off that grows as cond(x)^2 times the unit round-off; the loop's
+    # steps have cond(x) near 1
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(shape) if cond is None else _ill_conditioned(rng, shape, cond)
+    tol = 1e-12 if cond is None else cond**2 * 1e-14
+    q = perpca._orthonormalize(x)
+    assert q.shape == x.shape
+    assert linf(q - sign_fixed_qr(x)[0]) < tol
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("step", [1e160, 1e300])
+def test_solve_step_that_overflows_diverges_at_its_iteration(step):
+    # a step this long overflows the stepped basis's Gram matrix in the first
+    # round: that is divergence, named at its round, not a rank-deficient
+    # basis, and no numpy warning comes before it
+    rng = np.random.default_rng(13)
+    obs = ObservationSet(matrices=[rng.standard_normal((10, 24)) for _ in range(3)], r1=2, r2=2)
+    with pytest.raises(DivergenceError, match="at inner iteration 1$") as info:
+        perpca_solve(obs, PerpcaParams(step_size=step, iterations=5))
+    assert info.value.objective_trace == [np.inf]
+
+
+def test_solve_loop_takes_one_cholesky_and_no_qr_per_iteration(tiny, monkeypatch):
+    # the start and the final deflation pass take a fixed number of QRs; every
+    # round orthonormalizes the whole joint stack with one Cholesky factorization
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    counts = {}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+
+    counting("qr")
+    counting("cholesky")
+    seen = {}
+    for iterations in (5, 50):
+        counts.clear()
+        rounds = []
+        perpca_solve(obs, PerpcaParams(step_size=0.1, iterations=iterations),
+                     callback=lambda tau, u_g, u_l: rounds.append(tau))
+        assert len(rounds) == iterations
+        assert counts["cholesky"] == iterations
+        seen[iterations] = counts["qr"]
+    assert seen[5] == seen[50]
+
+
+def test_lambda_max_runs_every_slice_at_once():
+    # the batched power steps give each slice's own estimate: the stack's
+    # value is the largest per-slice one, a zero slice reads 0, and on a
+    # clear eigengap twenty steps reach the top eigenvalue
+    rng = np.random.default_rng(14)
+    basis = np.linalg.qr(rng.standard_normal((4, 8, 8)))[0]
+    eig = np.array([5.0, 9.0, 3.0, 7.0])[:, None] * np.geomspace(1.0, 0.01, 8)
+    covs = (basis * eig[:, None, :]) @ basis.swapaxes(-1, -2)
+    per_slice = [_lambda_max(c) for c in covs]
+    assert _lambda_max(covs) == max(per_slice)
+    assert _lambda_max(covs) == pytest.approx(9.0, rel=1e-6)
+    covs[1] = 0.0
+    assert _lambda_max(covs[1]) == 0.0
+    assert _lambda_max(covs) == max(per_slice[:1] + per_slice[2:])
+    assert _lambda_max(np.zeros((3, 5, 5))) == 0.0
