@@ -4,8 +4,9 @@ Commands: synth (generate a dataset directory), run (factor a dataset and
 write the trace CSV), check (print identifiability diagnostics), metrics
 (recompute recovery errors from saved estimates).
 
-Exit codes: 0 success, 2 solver divergence, 64 bad configuration or command
-line, 65 corrupt data, 66 missing inputs.
+Exit codes: 0 success, 1 an I/O error other than a missing input (such as
+an output path that names a directory), 2 solver divergence, 64 bad
+configuration or command line, 65 corrupt data, 66 missing inputs.
 """
 
 import argparse
@@ -28,6 +29,7 @@ from .model import assemble_observations, generate, identifiability_report
 from .thresholding import LambdaSchedule, initial_lambda
 
 EXIT_OK = 0
+EXIT_IO = 1
 EXIT_DIVERGED = 2
 EXIT_BAD_CONFIG = 64
 EXIT_CORRUPT = 65
@@ -189,7 +191,7 @@ def main(argv=None) -> int:
         return EXIT_CORRUPT
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
-        return 1
+        return EXIT_IO
 
 
 def _entry():

@@ -12,9 +12,22 @@ then takes one gradient step per block.  The objective and the gradient
 blocks come from jimf._terms, the one kernel that hmf_objective,
 hmf_gradients and kkt_residuals also call.  The shared factor moves as the
 average of the per-source updated copies, accumulated in ascending source
-order.  The solver keeps the sources as stacked arrays (N, n1, w), w the
-widest source, with narrower sources zero-padded: padded columns of the data
-and padded rows of v_g, v_l start at zero and their gradients stay zero.
+order.  The solver carries the joint factors [u_g u_l[i]] and
+[v_g[i] v_l[i]] as one (N, ., r1 + r2) stack each.
+
+The step V <- V - eta (V U^T U - M_i^T U) and the correction V <- V T^-T
+keep every v iterate of a solve in span[M_i^T v_g[i] v_l[i]], v_g[i] and
+v_l[i] those of the start.  So the loop runs in each source's row-space
+coordinates: q_i is the reduced Householder Q of that block, with
+k_i = min(n2_i, n1 + r1 + r2) orthonormal columns, and the loop works on
+M_i q_i and z_i = q_i^T V in place of M_i and V.  This is exact:
+||U Z^T - M q|| = ||U V^T - M||, the z gradient is q^T times the v gradient
+and the u gradient is unchanged, so the correction, the objective and the
+shared average are those of the full-width loop up to round-off, and the
+cost of an iteration does not depend on n2.  v_i = q_i z_i is read off once,
+at the end.  Narrower sources are zero-padded to the largest k_i: padded
+columns of M_i q_i and padded rows of z_i start at zero and their gradients
+stay zero.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
-from .jimf import ObjectiveTrace, _start, _terms
+from .jimf import ObjectiveTrace, _joint, _penalty, _start, _terms
 from .model import FactorEstimate, ObservationSet
 from .numerics import RANK_RTOL, as_matrix
 
@@ -44,47 +57,54 @@ class HmfParams:
 
 def hmf_objective(est: FactorEstimate, matrices, beta: float) -> float:
     """Evaluate the objective above at the given estimate."""
-    sources = zip(est.v_g, est.u_l, est.v_l, matrices, strict=True)
-    return float(sum(_terms(est.u_g, *factors, as_matrix(m), beta)[0] for *factors, m in sources))
+    penalty = _penalty(est.r1, est.r2)
+    sources = zip(range(est.n_sources), matrices, strict=True)
+    return float(sum(_terms(*_joint(est, i), as_matrix(m), beta, penalty)[0] for i, m in sources))
 
 
 def hmf_gradients(est: FactorEstimate, source_index: int, matrix, beta: float):
     """Gradient blocks (u_g, v_g, u_l, v_l) of the source's term, as jimf._terms computes them."""
-    i = source_index
-    return _terms(est.u_g, est.v_g[i], est.u_l[i], est.v_l[i], as_matrix(matrix), beta)[1:]
+    r1 = est.r1
+    _, g_u, g_v = _terms(*_joint(est, source_index), as_matrix(matrix), beta, _penalty(r1, est.r2))
+    return g_u[:, :r1], g_v[:, :r1], g_u[:, r1:], g_v[:, r1:]
 
 
-def _correct_arrays(u_g, v_g, u_l, v_l):
-    # returns (u_l_new, v_g_new); exact identity u_g v_g'^T + u_l' v_l^T ==
-    # u_g v_g^T + u_l v_l^T by construction.  v_g, u_l, v_l may be stacks
-    # (N, ., .) sharing the 2-D u_g.  Raises SingularityError when u_g has
-    # lost column rank.
-    if u_g.shape[1] == 0:
-        return u_l, v_g
+def _correct(u, v, r1):
+    # the correction, in place, on joint factors u = [u_g u_l] and
+    # v = [v_g v_l], or on (N, ., .) stacks of them whose first r1 columns of
+    # u are one shared u_g: u_l loses its component along u_g and v_g absorbs
+    # the matching shift, so u v^T is unchanged up to round-off.  Raises
+    # SingularityError when u_g has lost column rank.
+    if r1 == 0:
+        return
+    u_g = u[..., :r1] if u.ndim == 2 else u[0, :, :r1]
     try:
         sv = np.linalg.svd(u_g, compute_uv=False)
     except np.linalg.LinAlgError as err:
         raise SingularityError(f"shared factor has no SVD ({err}); cannot correct") from err
     if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
         raise SingularityError("shared factor lost column rank; cannot correct")
-    if u_l.shape[-1] == 0:
-        return u_l, v_g
+    if u.shape[-1] == r1:
+        return
     try:
-        g = np.linalg.solve(u_g.T @ u_g, u_g.T @ u_l)
+        g = np.linalg.solve(u_g.T @ u_g, u_g.T @ u[..., r1:])
     except np.linalg.LinAlgError as err:
         raise SingularityError(f"shared factor Gram matrix is singular ({err}); cannot correct") from err
-    return u_l - u_g @ g, v_g + v_l @ g.swapaxes(-1, -2)
+    u[..., r1:] -= u_g @ g
+    v[..., :r1] += v[..., r1:] @ g.swapaxes(-1, -2)
 
 
 def hmf_correct(est: FactorEstimate, source_index: int) -> FactorEstimate:
     """Restore u_g^T u_l[i] = 0 for one source without moving its
     reconstruction: u_l[i] loses its component along u_g and v_g[i] absorbs
     the matching coefficient shift."""
-    ul, vg = _correct_arrays(est.u_g, est.v_g[source_index], est.u_l[source_index], est.v_l[source_index])
+    r1 = est.r1
+    u, v = _joint(est, source_index)
+    _correct(u, v, r1)
     v_g = list(est.v_g)
     u_l = est.u_l.copy()
-    v_g[source_index] = vg
-    u_l[source_index] = ul
+    v_g[source_index] = v[:, :r1]
+    u_l[source_index] = u[:, r1:]
     return replace(est, v_g=v_g, u_l=u_l)
 
 
@@ -102,6 +122,7 @@ def hmf_solve(
     Starts from warm_start when given, otherwise from spectral_init; a warm
     start whose ranks or shapes do not fit obs raises DimensionError, one
     with NaN or Inf entries ContractViolationError.
+    The loop runs in each source's row-space coordinates (module docstring).
     Records the objective once per iteration through ObjectiveTrace
     (appended to objective_out when provided) with scale 0.5 sum_i ||M_i||^2,
     the objective at zero factors: the loop ends under the shared stopping
@@ -112,43 +133,44 @@ def hmf_solve(
     """
     mats = obs.matrices
     start = _start(obs, warm_start)
-    n = len(mats)
-    widths = [m.shape[1] for m in mats]
-    w = max(widths)
-    m_all = np.zeros((n, mats[0].shape[0], w))
-    v_g = np.zeros((n, w, obs.r1))
-    v_l = np.zeros((n, w, obs.r2))
-    for i, width in enumerate(widths):
-        m_all[i, :, :width] = mats[i]
-        v_g[i, :width] = start.v_g[i]
-        v_l[i, :width] = start.v_l[i]
-    # copies, so no output shares memory with the warm start even when no step moves it
-    u_g, u_l = start.u_g.copy(), start.u_l.copy()
+    n, r1 = len(mats), obs.r1
+    v = [np.hstack((vg, vl)) for vg, vl in zip(start.v_g, start.v_l)]
+    # q_i, the reduced Householder Q of [M_i^T v_g[i] v_l[i]] (module docstring)
+    bases = [np.linalg.qr(np.hstack((m.T, vi)))[0] for m, vi in zip(mats, v)]
+    k = max(q.shape[1] for q in bases)
+    m_q = np.zeros((n, obs.n1, k))
+    z = np.zeros((n, k, r1 + obs.r2))
+    for i, q in enumerate(bases):
+        m_q[i, :, : q.shape[1]] = mats[i] @ q
+        z[i, : q.shape[1]] = q.T @ v[i]
+    # [u_g u_l[i]] for every source, a new array that shares no memory with the warm start
+    u = np.concatenate((np.broadcast_to(start.u_g, start.u_l.shape[:-1] + (r1,)), start.u_l), axis=-1)
     eta = params.step_size
-    trace = ObjectiveTrace(objective_out, scale=0.5 * float(np.sum(m_all * m_all)))
+    penalty = _penalty(r1, obs.r2)
+    trace = ObjectiveTrace(objective_out, scale=0.5 * sum(float(np.sum(m * m)) for m in mats))
 
     for _ in range(params.iterations):
         try:
-            u_l, v_g = _correct_arrays(u_g, v_g, u_l, v_l)
+            _correct(u, z, r1)
         except SingularityError:
             # rank collapse after runaway growth is divergence, not bad input
             values = trace.values[trace.start:]
             if values and values[-1] > 1e6 * max(values[0], 1e-300):
                 trace.fail("shared factor collapsed while the objective grew")
             raise
-        objs, g_u_g, g_v_g, g_u_l, g_v_l = _terms(u_g, v_g, u_l, v_l, m_all, params.beta)
-        u_g = (u_g - eta * g_u_g).sum(axis=0) / n
-        v_g = v_g - eta * g_v_g
-        u_l = u_l - eta * g_u_l
-        v_l = v_l - eta * g_v_l
+        objs, g_u, g_z = _terms(u, z, m_q, params.beta, penalty)
+        u = u - eta * g_u
+        u[..., :r1] = u[..., :r1].sum(axis=0) / n
+        z = z - eta * g_z
         # per-source objectives, summed in source order
         if trace.record(sum(objs.tolist())):
             break
 
-    u_l, v_g = _correct_arrays(u_g, v_g, u_l, v_l)
+    _correct(u, z, r1)
+    v = [q @ zi[: q.shape[1]] for q, zi in zip(bases, z)]
     return FactorEstimate(
-        u_g=u_g,
-        v_g=[v_g[i, :width] for i, width in enumerate(widths)],
-        u_l=u_l,
-        v_l=[v_l[i, :width] for i, width in enumerate(widths)],
+        u_g=u[0, :, :r1],
+        v_g=[vi[:, :r1] for vi in v],
+        u_l=u[..., r1:],
+        v_l=[vi[:, r1:] for vi in v],
     )

@@ -166,29 +166,43 @@ def renormalize(est: FactorEstimate) -> FactorEstimate:
     return FactorEstimate(u_g=q_g, v_g=v_g, u_l=u_l, v_l=v_l)
 
 
-def _terms(u_g, v_g, u_l, v_l, m, beta):
-    """Objective and gradient blocks (obj, u_g, v_g, u_l, v_l) of one source,
-    or of (N, ., .) stacks of sources sharing the 2-D u_g; obj holds one
-    entry per source.
+def _penalty(r1: int, r2: int):
+    """(identity, block mask) of the joint Gram [u_g u_l]^T [u_g u_l]: beta
+    penalizes its diagonal blocks u_g^T u_g - I and u_l^T u_l - I only."""
+    r = r1 + r2
+    mask = np.zeros((r, r))
+    mask[:r1, :r1] = 1.0
+    mask[r1:, r1:] = 1.0
+    return np.eye(r), mask
 
-    With E = u_g v_g^T + u_l v_l^T - M, G_g = u_g^T u_g - I, G_l = u_l^T u_l - I:
-        obj    = 0.5 ||E||^2 + 0.5 beta ||G_g||^2 + 0.5 beta ||G_l||^2
-        d/du_g = E v_g + 2 beta u_g G_g
-        d/dv_g = E^T u_g
-        d/du_l = E v_l + 2 beta u_l G_l
-        d/dv_l = E^T u_l
+
+def _joint(est: FactorEstimate, i: int):
+    # source i's joint factors [u_g u_l[i]] and [v_g[i] v_l[i]]
+    return np.hstack((est.u_g, est.u_l[i])), np.hstack((est.v_g[i], est.v_l[i]))
+
+
+def _terms(u, v, m, beta, penalty):
+    """Objective and gradient blocks (obj, d/du, d/dv) of one source's joint
+    factors u = [u_g u_l] (n1, r1 + r2) and v = [v_g v_l] (n2, r1 + r2), or
+    of (N, ., .) stacks of sources; obj holds one entry per source and
+    penalty is _penalty(r1, r2).  Split at column r1, d/du holds the u_g and
+    u_l blocks and d/dv the v_g and v_l blocks.
+
+    With E = u v^T - M and G = B o (u^T u - I), B the block mask:
+        obj  = 0.5 ||E||^2 + 0.5 beta ||G||^2
+        d/du = E v + 2 beta u G
+        d/dv = E^T u
     """
-    gram_g = u_g.T @ u_g - np.eye(u_g.shape[1])
-    gram_l = u_l.swapaxes(-1, -2) @ u_l - np.eye(u_l.shape[-1])
-    e = u_g @ v_g.swapaxes(-1, -2)
-    e += u_l @ v_l.swapaxes(-1, -2)
+    eye, mask = penalty
+    gram = u.swapaxes(-1, -2) @ u
+    gram -= eye
+    gram *= mask
+    e = u @ v.swapaxes(-1, -2)
     e -= m
-    reg_l = 0.5 * beta * np.sum(gram_l * gram_l, axis=(-2, -1))
-    obj = 0.5 * np.sum(e * e, axis=(-2, -1)) + 0.5 * beta * np.sum(gram_g * gram_g) + reg_l
-    g_u_g = e @ v_g + 2.0 * beta * (u_g @ gram_g)
-    g_u_l = e @ v_l + 2.0 * beta * (u_l @ gram_l)
-    e_t = e.swapaxes(-1, -2)
-    return obj, g_u_g, e_t @ u_g, g_u_l, e_t @ u_l
+    obj = 0.5 * np.sum(e * e, axis=(-2, -1)) + 0.5 * beta * np.sum(gram * gram, axis=(-2, -1))
+    g_u = e @ v
+    g_u += 2.0 * beta * (u @ gram)
+    return obj, g_u, e.swapaxes(-1, -2) @ u
 
 
 def kkt_residuals(est: FactorEstimate, matrices) -> KktResidualReport:
@@ -204,13 +218,14 @@ def kkt_residuals(est: FactorEstimate, matrices) -> KktResidualReport:
     if len(mats) != est.n_sources:
         raise DimensionError("estimate and data have different source counts")
     est = renormalize(est)
-    grads = [_terms(est.u_g, est.v_g[i], est.u_l[i], est.v_l[i], m, 0.0)[1:] for i, m in enumerate(mats)]
+    r1, penalty = est.r1, _penalty(est.r1, est.r2)
+    grads = [_terms(*_joint(est, i), m, 0.0, penalty)[1:] for i, m in enumerate(mats)]
     gram_l = est.u_l.swapaxes(-1, -2) @ est.u_l - np.eye(est.r2)
     r_orth = max(linf(est.u_g.T @ est.u_g - np.eye(est.r1)), linf(gram_l), est.cross_orthogonality())
     return KktResidualReport(
-        r_vg=float(np.linalg.norm(sum(g[0] for g in grads))),
-        r_vl=max(float(np.linalg.norm(g[2])) for g in grads),
-        r_ug=max(float(np.linalg.norm(g[1])) for g in grads),
-        r_ul=max(float(np.linalg.norm(g[3])) for g in grads),
+        r_vg=float(np.linalg.norm(sum(g_u[:, :r1] for g_u, _ in grads))),
+        r_vl=max(float(np.linalg.norm(g_u[:, r1:])) for g_u, _ in grads),
+        r_ug=max(float(np.linalg.norm(g_v[:, :r1])) for _, g_v in grads),
+        r_ul=max(float(np.linalg.norm(g_v[:, r1:])) for _, g_v in grads),
         r_orth=r_orth,
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tcmf
 from tcmf import (
     FactorEstimate,
     HmfParams,
@@ -11,10 +12,11 @@ from tcmf import (
     hmf_solve,
     spectral_init,
 )
-from tcmf.errors import ConfigurationError, DivergenceError
+from tcmf.errors import ConfigurationError, DivergenceError, SingularityError
+from tcmf.jimf import ObjectiveTrace
 from tcmf.numerics import linf
 
-from conftest import orth, random_estimate, svd_spectral_init
+from conftest import TinyInstance, orth, random_estimate, svd_spectral_init
 
 
 def test_params_validation():
@@ -119,8 +121,12 @@ def test_gradient_beta_zero_closed_form():
     est = random_estimate(rng, 5, [8], 1, 1)
     mat = rng.standard_normal((5, 8))
     g_u_g = hmf_gradients(est, 0, mat, 0.0)[0]
+    # the kernel forms E v from the joint factors u = [u_g u_l], v = [v_g v_l];
+    # at beta = 0 the penalty adds exactly nothing to that product
+    u, v = np.hstack((est.u_g, est.u_l[0])), np.hstack((est.v_g[0], est.v_l[0]))
+    assert np.array_equal(g_u_g, ((u @ v.T - mat) @ v)[:, :1])
     e = est.reconstruction(0) - mat
-    assert np.array_equal(g_u_g, e @ est.v_g[0])
+    assert linf(g_u_g - e @ est.v_g[0]) <= 1e-14 * linf(e) * linf(est.v_g[0]) * mat.shape[1]
 
 
 def test_correct_noop_when_already_orthogonal():
@@ -187,17 +193,17 @@ def test_solve_objective_nonincreasing(tiny):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "step, reason, length",
+    "step, reason, length, cause",
     [
-        (50.0, "objective overflowed", 11),
-        (0.25, "objective rose for 50 consecutive iterations", 51),
-        (1.0, "shared factor collapsed while the objective grew", 22),
+        (50.0, "objective overflowed", 11, None),
+        (0.25, "objective rose for 50 consecutive iterations", 51, None),
+        (0.5, "shared factor collapsed while the objective grew", 32, "lost column rank"),
         # the Gram matrix of the exploded shared factor is singular
-        (0.325, "shared factor collapsed while the objective grew", 48),
+        (0.33, "shared factor collapsed while the objective grew", 46, "Gram matrix is singular"),
     ],
     ids=["overflow", "rising", "collapse", "singular"],
 )
-def test_solve_divergence_carries_trace(tiny, step, reason, length):
+def test_solve_divergence_carries_trace(tiny, step, reason, length, cause):
     # these runs diverge from an exact optimum through round-off, so they
     # start from the dense-SVD spectral start whose round-off they pin
     obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
@@ -209,20 +215,31 @@ def test_solve_divergence_carries_trace(tiny, step, reason, length):
     assert trace == out
     assert len(trace) == length
     assert str(info.value).endswith(f" at inner iteration {len(trace)}")
+    if cause is None:
+        assert info.value.__context__ is None
+    else:
+        assert isinstance(info.value.__context__, SingularityError)
+        assert cause in str(info.value.__context__)
 
 
 def reference_solve(mats, iterations, eta, beta):
-    """The per-source loop the batched solver replaced, built from the
-    public per-source correction and gradient."""
-    est = spectral_init(ObservationSet(matrices=mats, r1=2, r2=2))
+    """The solver's arithmetic one source at a time: the same row-space
+    bases q_i, then the public per-source correction, objective and
+    gradient on the compressed data M_i q_i and coordinates q_i^T [v_g v_l]."""
+    start = spectral_init(ObservationSet(matrices=mats, r1=2, r2=2))
+    v = [np.hstack((vg, vl)) for vg, vl in zip(start.v_g, start.v_l)]
+    bases = [np.linalg.qr(np.hstack((m.T, vi)))[0] for m, vi in zip(mats, v)]
+    mats_q = [m @ q for m, q in zip(mats, bases)]
+    z = [q.T @ vi for q, vi in zip(bases, v)]
+    est = FactorEstimate(u_g=start.u_g, v_g=[zi[:, :2] for zi in z], u_l=start.u_l, v_l=[zi[:, 2:] for zi in z])
     objectives = []
     for _ in range(iterations):
         for i in range(len(mats)):
             est = hmf_correct(est, i)
-        objectives.append(hmf_objective(est, mats, beta))
+        objectives.append(hmf_objective(est, mats_q, beta))
         acc = np.zeros_like(est.u_g)
         v_g, u_l, v_l = [], [], []
-        for i, m in enumerate(mats):
+        for i, m in enumerate(mats_q):
             g_u_g, g_v_g, g_u_l, g_v_l = hmf_gradients(est, i, m, beta)
             acc += est.u_g - eta * g_u_g
             v_g.append(est.v_g[i] - eta * g_v_g)
@@ -231,7 +248,9 @@ def reference_solve(mats, iterations, eta, beta):
         est = FactorEstimate(u_g=acc / len(mats), v_g=v_g, u_l=u_l, v_l=v_l)
     for i in range(len(mats)):
         est = hmf_correct(est, i)
-    return est, objectives
+    v = [q @ np.hstack((vg, vl)) for q, vg, vl in zip(bases, est.v_g, est.v_l)]
+    ref = FactorEstimate(u_g=est.u_g, v_g=[vi[:, :2] for vi in v], u_l=est.u_l, v_l=[vi[:, 2:] for vi in v])
+    return ref, objectives
 
 
 @pytest.mark.parametrize("instance", ["tiny", "uneven"])
@@ -241,13 +260,113 @@ def test_solve_matches_per_source_reference(request, instance):
     trace = []
     est = hmf_solve(ObservationSet(matrices=mats, r1=2, r2=2), params, objective_out=trace)
     ref, ref_trace = reference_solve(mats, 5, params.step_size, params.beta)
-    # equal widths: the same arithmetic per source, so the same bits; the
-    # zero padding of narrower sources may regroup a BLAS sum
-    tol = 0.0 if instance == "tiny" else 1e-12
+    # the same arithmetic per source, so the same bits: every source of both
+    # instances has k_i = n1 + r1 + r2 row-space columns, so none is padded
     pairs = [(est.u_g, ref.u_g)]
     for name in ("v_g", "u_l", "v_l"):
         pairs += zip(getattr(est, name), getattr(ref, name))
     for got, want in pairs:
         assert got.shape == want.shape
-        assert linf(got - want) <= tol * max(1.0, linf(want))
-    assert trace == pytest.approx(ref_trace, rel=1e-13)
+        assert np.array_equal(got, want)
+    assert trace == ref_trace
+
+
+def full_width_solve(obs, params, start):
+    """The loop on the full-width data, as it ran before the row-space
+    coordinates: the data and v zero-padded to (N, ., max n2), the split
+    objective and gradient blocks, u_g averaged over the sources, and the
+    shared stopping rule."""
+    mats, r1, r2, n = obs.matrices, obs.r1, obs.r2, obs.n_sources
+    widths = [m.shape[1] for m in mats]
+    m_all = np.zeros((n, obs.n1, max(widths)))
+    v_g = np.zeros((n, max(widths), r1))
+    v_l = np.zeros((n, max(widths), r2))
+    for i, width in enumerate(widths):
+        m_all[i, :, :width] = mats[i]
+        v_g[i, :width] = start.v_g[i]
+        v_l[i, :width] = start.v_l[i]
+    u_g, u_l = start.u_g, start.u_l
+    eta, beta = params.step_size, params.beta
+
+    def correct(u_g, v_g, u_l, v_l):
+        if r1 == 0 or r2 == 0:
+            return u_l, v_g
+        g = np.linalg.solve(u_g.T @ u_g, u_g.T @ u_l)
+        return u_l - u_g @ g, v_g + v_l @ g.swapaxes(-1, -2)
+
+    trace = ObjectiveTrace(scale=0.5 * sum(np.sum(m * m) for m in mats))
+    for _ in range(params.iterations):
+        u_l, v_g = correct(u_g, v_g, u_l, v_l)
+        gram_g = u_g.T @ u_g - np.eye(r1)
+        gram_l = u_l.swapaxes(-1, -2) @ u_l - np.eye(r2)
+        e = u_g @ v_g.swapaxes(-1, -2) + u_l @ v_l.swapaxes(-1, -2) - m_all
+        reg = np.sum(gram_g**2) + np.sum(gram_l**2, axis=(-2, -1))
+        objs = 0.5 * np.sum(e * e, axis=(-2, -1)) + 0.5 * beta * reg
+        stop = trace.record(sum(objs.tolist()))
+        e_t = e.swapaxes(-1, -2)
+        u_g, v_g, u_l, v_l = (
+            (u_g - eta * (e @ v_g + 2.0 * beta * (u_g @ gram_g))).sum(axis=0) / n,
+            v_g - eta * (e_t @ u_g),
+            u_l - eta * (e @ v_l + 2.0 * beta * (u_l @ gram_l)),
+            v_l - eta * (e_t @ u_l),
+        )
+        if stop:
+            break
+    u_l, v_g = correct(u_g, v_g, u_l, v_l)
+    products = [u_g @ v_g[i, :w].T + u_l[i] @ v_l[i, :w].T for i, w in enumerate(widths)]
+    return products, trace.values
+
+
+@pytest.mark.parametrize(
+    "n1, widths, r1, r2",
+    [
+        (10, [20, 20, 20], 2, 2),  # tiny
+        (12, [30, 45, 20, 38], 2, 2),  # uneven
+        (10, [12, 8, 13], 2, 2),  # tall: every n2 < n1 + r1 + r2, so each q_i is square
+        (10, [20, 20, 20], 0, 2),
+        (10, [20, 20, 20], 2, 0),
+    ],
+    ids=["tiny", "uneven", "tall", "r1=0", "r2=0"],
+)
+def test_solve_matches_full_width_loop(n1, widths, r1, r2):
+    # the row-space coordinates are exact: only round-off separates the loops
+    # planted ranks 2 and 2, so a rank-zero edge leaves a residual to fit;
+    # the start is perturbed off the spectral one, which fits those edges
+    inst = TinyInstance(seed=11, n1=n1, n2=widths)
+    obs = ObservationSet(matrices=inst.mats, r1=r1, r2=r2)
+    start = spectral_init(obs)
+    rng = np.random.default_rng(12)
+
+    def jitter(a):
+        return a + 0.1 * rng.standard_normal(a.shape)
+
+    start = FactorEstimate(
+        u_g=jitter(start.u_g),
+        v_g=[jitter(v) for v in start.v_g],
+        u_l=jitter(start.u_l),
+        v_l=[jitter(v) for v in start.v_l],
+    )
+    params = HmfParams(step_size=0.02, iterations=100, beta=1e-3)
+    trace = []
+    est = hmf_solve(obs, params, start, objective_out=trace)
+    products, ref_trace = full_width_solve(obs, params, start)
+    assert len(trace) == params.iterations
+    for i, want in enumerate(products):
+        assert linf(est.reconstruction(i) - want) <= 1e-12 * linf(want)
+    assert trace == pytest.approx(ref_trace, rel=1e-12)
+
+
+def test_solve_loop_width_is_the_row_space_not_n2(monkeypatch):
+    # desk shape: 10 sources of 15 x 100 at r1 = r2 = 3 run on 21 columns
+    inst = TinyInstance(seed=2, n=10, n1=15, n2=100, r1=3, r2=3)
+    obs = ObservationSet(matrices=inst.mats, r1=3, r2=3)
+    real = tcmf.hmf._terms
+    widths = []
+
+    def recording_terms(u, v, m, *args):
+        widths.append(m.shape[-1])
+        return real(u, v, m, *args)
+
+    monkeypatch.setattr(tcmf.hmf, "_terms", recording_terms)
+    hmf_solve(obs, HmfParams(step_size=5e-3, iterations=5))
+    assert widths == [min(100, 15 + 3 + 3)] * 5
