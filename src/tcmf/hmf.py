@@ -23,11 +23,12 @@ k_i = min(n2_i, n1 + r1 + r2) orthonormal columns, and the loop works on
 M_i q_i and z_i = q_i^T V in place of M_i and V.  This is exact:
 ||U Z^T - M q|| = ||U V^T - M||, the z gradient is q^T times the v gradient
 and the u gradient is unchanged, so the correction, the objective and the
-shared average are those of the full-width loop up to round-off, and the
-cost of an iteration does not depend on n2.  v_i = q_i z_i is read off once,
-at the end.  Narrower sources are zero-padded to the largest k_i: padded
-columns of M_i q_i and padded rows of z_i start at zero and their gradients
-stay zero.
+shared average are those of the full-width loop up to round-off.  This
+saves work only when n2_i > n1 + r1 + r2: beyond that the cost of an
+iteration does not grow with n2, while below it q_i is square and the loop
+works in rotated coordinates.  v_i = q_i z_i is read off once, at the end.
+Narrower sources are zero-padded to the largest k_i: padded columns of
+M_i q_i and padded rows of z_i start at zero and their gradients stay zero.
 """
 
 from dataclasses import dataclass, replace
