@@ -6,11 +6,11 @@ Objective over sources i (beta >= 0):
     sum_i  0.5 * ||M_i - u_g v_g[i]^T - u_l[i] v_l[i]^T||_F^2
          + 0.5 * beta * (||u_g^T u_g - I||_F^2 + ||u_l[i]^T u_l[i] - I||_F^2)
 
-Each iteration first corrects every source, replacing u_l[i] by its component
-orthogonal to u_g and compensating v_g[i] so the reconstruction is untouched,
-then takes one gradient step per block.  The objective and the gradient
-blocks come from jimf._terms, the one kernel that hmf_objective,
-hmf_gradients and kkt_residuals also call.  The shared factor moves as the
+Each iteration takes one gradient step per block, then corrects every
+source (as the start was before the loop), replacing u_l[i] by its component
+orthogonal to u_g and compensating v_g[i] so the reconstruction is untouched.
+The objective and the gradient blocks come from jimf._terms, the one kernel
+that hmf_objective, hmf_gradients and kkt_residuals also call.  The shared factor moves as the
 average of the per-source updated copies, accumulated in ascending source
 order.  The solver carries the joint factors [u_g u_l[i]] and
 [v_g[i] v_l[i]] as one (N, ., r1 + r2) stack each.
@@ -35,10 +35,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularityError
+from .errors import ConfigurationError, ContractViolationError, SingularityError
 from .jimf import ObjectiveTrace, _joint, _penalty, _start, _terms
 from .model import FactorEstimate, ObservationSet
-from .numerics import RANK_RTOL, as_matrix
+from .numerics import _inv_cholesky, as_matrix
 
 
 @dataclass(frozen=True)
@@ -71,37 +71,35 @@ def hmf_gradients(est: FactorEstimate, source_index: int, matrix, beta: float):
 
 
 def _correct(u, v, r1):
-    # the correction, in place, on joint factors u = [u_g u_l] and
-    # v = [v_g v_l], or on (N, ., .) stacks of them whose first r1 columns of
-    # u are one shared u_g: u_l loses its component along u_g and v_g absorbs
-    # the matching shift, so u v^T is unchanged up to round-off.  Raises
-    # SingularityError when u_g has lost column rank.
+    # the correction, in place, on joint factors u = [u_g u_l] and v = [v_g v_l],
+    # or on (N, ., .) stacks of them whose first r1 columns of u are one shared
+    # u_g: u_l loses its component along u_g and v_g absorbs the shift
+    # g = (u_g^T u_g)^-1 u_g^T u_l, so u v^T is unchanged up to round-off.  One
+    # _inv_cholesky of the shared Gram matrix serves all sources and may raise
     if r1 == 0:
         return
     u_g = u[..., :r1] if u.ndim == 2 else u[0, :, :r1]
-    try:
-        sv = np.linalg.svd(u_g, compute_uv=False)
-    except np.linalg.LinAlgError as err:
-        raise SingularityError(f"shared factor has no SVD ({err}); cannot correct") from err
-    if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
-        raise SingularityError("shared factor lost column rank; cannot correct")
-    if u.shape[-1] == r1:
-        return
-    try:
-        g = np.linalg.solve(u_g.T @ u_g, u_g.T @ u[..., r1:])
-    except np.linalg.LinAlgError as err:
-        raise SingularityError(f"shared factor Gram matrix is singular ({err}); cannot correct") from err
+    inv = _inv_cholesky(u_g.T @ u_g)
+    g = inv.T @ (inv @ (u_g.T @ u[..., r1:]))
     u[..., r1:] -= u_g @ g
     v[..., :r1] += v[..., r1:] @ g.swapaxes(-1, -2)
+
+
+def _correct_given(u, v, r1):
+    try:
+        _correct(u, v, r1)
+    except OverflowError as err:
+        raise ContractViolationError("shared factor's Gram matrix is not finite") from err
 
 
 def hmf_correct(est: FactorEstimate, source_index: int) -> FactorEstimate:
     """Restore u_g^T u_l[i] = 0 for one source without moving its
     reconstruction: u_l[i] loses its component along u_g and v_g[i] absorbs
-    the matching coefficient shift."""
+    the matching coefficient shift.  Raises SingularityError unless u_g has
+    full column rank, ContractViolationError unless its Gram matrix is finite."""
     r1 = est.r1
     u, v = _joint(est, source_index)
-    _correct(u, v, r1)
+    _correct_given(u, v, r1)
     v_g = list(est.v_g)
     u_l = est.u_l.copy()
     v_g[source_index] = v[:, :r1]
@@ -118,19 +116,18 @@ def hmf_solve(
     warm_start: FactorEstimate | None = None,
     objective_out: list | None = None,
 ) -> FactorEstimate:
-    """Run the correct-then-step loop for at most params.iterations rounds.
+    """Run at most params.iterations step-then-correct rounds from a corrected start.
 
     Starts from warm_start when given, otherwise from spectral_init; a warm
     start whose ranks or shapes do not fit obs raises DimensionError, one
-    with NaN or Inf entries ContractViolationError.
-    The loop runs in each source's row-space coordinates (module docstring).
-    Records the objective once per iteration through ObjectiveTrace
-    (appended to objective_out when provided) with scale 0.5 sum_i ||M_i||^2,
-    the objective at zero factors: the loop ends under the shared stopping
-    rule and raises DivergenceError under the shared divergence rule, as it
-    does when a shared factor loses rank after runaway objective growth.
-    Ends with one extra correction pass so the returned estimate satisfies
-    the orthogonality contract.
+    with NaN or Inf entries ContractViolationError, one whose u_g lacks full
+    column rank SingularityError.  The loop runs in row-space coordinates
+    (module docstring) and records the objective once per round through
+    ObjectiveTrace (into objective_out when given), with scale
+    0.5 sum_i ||M_i||^2, the objective at zero factors: it stops under the
+    shared stopping rule, and raises DivergenceError under the shared
+    divergence rule or when a stepped u_g loses column rank.  Every round
+    ends corrected, so the estimate meets the orthogonality contract.
     """
     mats = obs.matrices
     start = _start(obs, warm_start)
@@ -150,24 +147,23 @@ def hmf_solve(
     penalty = _penalty(r1, obs.r2)
     trace = ObjectiveTrace(objective_out, scale=0.5 * sum(float(np.sum(m * m)) for m in mats))
 
+    _correct_given(u, z, r1)
     for _ in range(params.iterations):
-        try:
-            _correct(u, z, r1)
-        except SingularityError:
-            # rank collapse after runaway growth is divergence, not bad input
-            values = trace.values[trace.start:]
-            if values and values[-1] > 1e6 * max(values[0], 1e-300):
-                trace.fail("shared factor collapsed while the objective grew")
-            raise
         objs, g_u, g_z = _terms(u, z, m_q, params.beta, penalty)
         u = u - eta * g_u
         u[..., :r1] = u[..., :r1].sum(axis=0) / n
         z = z - eta * g_z
         # per-source objectives, summed in source order
-        if trace.record(sum(objs.tolist())):
+        stop = trace.record(sum(objs.tolist()))
+        try:
+            _correct(u, z, r1)
+        except OverflowError:
+            trace.record(np.inf)  # the next objective: raises DivergenceError
+        except SingularityError:
+            trace.fail("shared factor lost column rank")
+        if stop:
             break
 
-    _correct(u, z, r1)
     v = [q @ zi[: q.shape[1]] for q, zi in zip(bases, z)]
     return FactorEstimate(
         u_g=u[0, :, :r1],

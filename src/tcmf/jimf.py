@@ -76,12 +76,10 @@ class ObjectiveTrace:
             self.fail(f"objective rose for {self._rises} consecutive iterations")
         return prev is not None and 0.0 <= prev - obj <= STOP_RTOL * obj and obj > self._floor
 
-    def fail(self, reason: str):
-        """Raise DivergenceError for reason, naming the inner iteration."""
-        raise DivergenceError(
-            f"{reason} at inner iteration {len(self.values) - self.start}",
-            objective_trace=self.values,
-        )
+    def fail(self, reason: str, iteration: int | None = None):
+        """Raise DivergenceError for reason at iteration (default: the last recorded)."""
+        at = len(self.values) - self.start if iteration is None else iteration
+        raise DivergenceError(f"{reason} at inner iteration {at}", objective_trace=self.values)
 
 
 def spectral_init(obs: ObservationSet) -> FactorEstimate:

@@ -114,6 +114,21 @@ def sign_fixed_qr(a) -> tuple:
     return q * d[..., None, :], r * d[..., :, None]
 
 
+def _inv_cholesky(gram: np.ndarray) -> np.ndarray:
+    # L^-1, L L^T = gram, for a basis's Gram matrix (or stack) under the loops'
+    # one rank rule: OverflowError if gram is not finite, SingularityError if
+    # no factor or an L_jj^2 <= PSD_MIN_EIG * max_k gram_kk (relative: u_g is unscaled)
+    try:
+        chol = np.linalg.cholesky(gram)
+        pivots = np.diagonal(chol, axis1=-2, axis2=-1) ** 2
+        if (pivots > PSD_MIN_EIG * np.diagonal(gram, axis1=-2, axis2=-1).max(-1, keepdims=True, initial=0.0)).all():
+            return np.linalg.inv(chol)
+    except np.linalg.LinAlgError:
+        pass
+    finite = np.isfinite(gram).all()  # NaN or Inf always fails a test above
+    raise SingularityError("basis lost column rank") if finite else OverflowError("Gram matrix overflowed")
+
+
 def projection_onto(u) -> np.ndarray:
     """Orthogonal projector onto the column space of full-column-rank u."""
     u = as_matrix(u)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, SingularityError
 from .jimf import ObjectiveTrace, _start, renormalize
 from .model import FactorEstimate, ObservationSet
-from .numerics import PSD_MIN_EIG, as_stack, inv_sqrt_psd, sign_fixed_qr
+from .numerics import _inv_cholesky, as_stack, inv_sqrt_psd, sign_fixed_qr
 
 POWER_ITERATIONS = 20
 
@@ -59,23 +59,11 @@ def generalized_retraction(u, v) -> np.ndarray:
 
 
 def _orthonormalize(x: np.ndarray) -> np.ndarray:
-    # the q of sign_fixed_qr(x) by one Cholesky QR, x L^-T with L L^T = x^T x,
-    # unchecked.  Its round-off grows as cond(x)^2.  A loop step is orthogonal
-    # to the bases it leaves (x^T x = I + eta^2 G^T G >= I) until the shared
-    # average adds O(eta) cross terms, so cond(x) stays near 1.
-    # L_jj^2 <= PSD_MIN_EIG (the floor inv_sqrt_psd puts on the Gram's
-    # eigenvalues) means rank deficient; a Gram matrix that overflows raises
-    # OverflowError
-    gram = x.swapaxes(-1, -2) @ x
-    if not np.isfinite(gram).all():
-        raise OverflowError("stepped basis overflowed")
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as err:
-        raise SingularityError("stepped basis is rank deficient; retraction undefined") from err
-    if np.any(np.diagonal(chol, axis1=-2, axis2=-1) ** 2 <= PSD_MIN_EIG):
-        raise SingularityError("stepped basis is rank deficient; retraction undefined")
-    return x @ np.linalg.inv(chol).swapaxes(-1, -2)
+    # the q of sign_fixed_qr(x) by one Cholesky QR under the shared rank rule.
+    # Its round-off grows as cond(x)^2.  A loop step is orthogonal to the
+    # bases it leaves (x^T x = I + eta^2 G^T G >= I) until the shared average
+    # adds O(eta) cross terms, so cond(x) stays near 1
+    return x @ _inv_cholesky(x.swapaxes(-1, -2) @ x).swapaxes(-1, -2)
 
 
 def perpca_gradient(u_g, u_l, s) -> np.ndarray:
@@ -130,9 +118,9 @@ def perpca_solve(
     entries (or a Gram stack that overflows) ContractViolationError.  Each
     round is one step of the joint stack, the shared average and one
     Cholesky QR (see the module docstring), whose spans equal those of the
-    three polar retractions they replace; a stepped basis that loses rank
-    raises SingularityError, and one whose Gram matrix overflows
-    DivergenceError naming the round.
+    three polar retractions they replace; a stepped basis that loses column
+    rank, or whose Gram matrix overflows, raises DivergenceError naming the
+    round.
 
     The step size is params.step_size divided by the largest covariance
     eigenvalue across sources (estimated by power iteration), so the default
@@ -170,6 +158,8 @@ def perpca_solve(
             joint = _orthonormalize(step)
         except OverflowError:
             trace.record(np.inf)  # raises DivergenceError naming this round
+        except SingularityError:
+            trace.fail("stepped basis lost column rank", tau + 1)
         u_g, u_l = joint[0, :, :r1], joint[..., r1:]
         stacked = covs @ joint
         stop = trace.record(total - float(np.sum(joint * stacked)))

@@ -196,9 +196,9 @@ def test_spectral_work_stays_at_the_size_of_the_answer(monkeypatch, params):
     assert max(min(shape[-2:]) for shape in shapes) <= obs.r1 + obs.r2
 
 
-def _wide_instance():
+def _wide_instance(r1=2):
     # few wide sources, where the full-size stacks dominate a run's memory
-    gt = generate(SynthConfig(n_sources=4, n1=20, n2=2000, r1=2, r2=2,
+    gt = generate(SynthConfig(n_sources=4, n1=20, n2=2000, r1=r1, r2=2,
                               noise_prob=0.01, noise_magnitude=100.0, seed=3))
     obs = assemble_observations(gt)
     return gt, obs, initial_lambda(obs, "theoretical", identifiability_report(gt))
@@ -228,15 +228,36 @@ def test_run_holds_one_epochs_stacks_at_a_time(policy):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_run_records_overflowed_errors_without_warnings():
-    # epoch 2 ends with entries near 1e212, so its squared errors overflow
-    # to inf; epoch 3 then diverges and only DivergenceError must surface
-    gt, obs, lam1 = _wide_instance()
+    # epoch 2 ends with shared entries near 1e186, so its squared errors
+    # overflow to inf; epoch 3 then diverges and only DivergenceError must
+    # surface
+    gt, obs, lam1 = _wide_instance(r1=1)
     cfg = tiny_cfg(lam1, epochs=3, rho=0.9, params=HmfParams(step_size=5e-3, iterations=5, beta=1e-5))
     with pytest.raises(DivergenceError) as info:
         run(obs, cfg, gt)
     traces = info.value.epoch_traces
     assert len(traces) == 2
-    assert traces[1].log_g == np.inf and traces[1].log_l == np.inf
+    assert traces[1].log_g == np.inf
+    assert str(info.value).startswith("objective overflowed")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "params",
+    [HmfParams(step_size=3e-3, iterations=5, beta=1e-5), HmfParams(step_size=5e-3, iterations=8, beta=1e-5)],
+    ids=["step3e-3x5", "step5e-3x8"],
+)
+def test_rank_loss_in_a_diverging_run_is_divergence(params):
+    # the shared factor explodes until it loses column rank.  This used to
+    # escape as a bare SingularityError, "invalid data" to the CLI: at
+    # 3e-3 x 5 from the correction after the loop, which no rule guarded, and
+    # at 5e-3 x 8 from one inside it, before the objective had grown a
+    # millionfold within the solve
+    gt, obs, lam1 = _wide_instance()
+    cfg = tiny_cfg(lam1, epochs=3, rho=0.9, params=params)
+    with pytest.raises(DivergenceError, match="shared factor lost column rank") as info:
+        run(obs, cfg, gt)
+    assert info.value.objective_trace
 
 
 # Final (lam, log_g, log_l, log_s) on criterion 12's instance, one row per

@@ -203,16 +203,30 @@ class TestRun:
         assert "at inner iteration" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_singular_gram_divergence_exits_2_with_partial_trace(self, tmp_path, capsys):
-        # the shared factor blows up until its Gram matrix is singular
+    def test_shared_factor_rank_loss_exits_2_with_partial_trace(self, tmp_path, capsys):
+        # the shared factor blows up until it loses column rank
         cfg, out = synth(tmp_path, step_size="1.5")
         trace = tmp_path / "trace.csv"
         assert main(["run", "--config", str(cfg), "--data", str(out),
                      "--out", str(trace)]) == EXIT_DIVERGED
         assert read_rows(trace) == []
         err = capsys.readouterr().err
-        assert "diverged in epoch 1: shared factor collapsed while the objective grew" in err
+        assert "diverged in epoch 1: shared factor lost column rank at inner iteration 5" in err
 
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wide_run_rank_loss_exits_2_with_partial_trace(self, tmp_path, capsys):
+        # 4 wide sources at step 3e-3 x 5: the shared factor loses column
+        # rank, which used to escape from the correction after the inner loop
+        # as a bare SingularityError and exit 65, "invalid data"
+        cfg, out = synth(tmp_path, n_sources=4, n1=20, n2=2000, noise_prob=0.01, noise_magnitude=100.0,
+                         seed=3, epochs=3, step_size=3e-3, inner_iterations=5)
+        trace = tmp_path / "trace.csv"
+        assert main(["run", "--config", str(cfg), "--data", str(out),
+                     "--out", str(trace)]) == EXIT_DIVERGED
+        rows = read_rows(trace)
+        err = capsys.readouterr().err
+        assert f"diverged in epoch {len(rows) + 1}: shared factor lost column rank" in err
 
 class TestFailureExitCodes:
     def test_malformed_config_exits_64_without_trace(self, tmp_path):

@@ -197,13 +197,14 @@ def test_solve_objective_nonincreasing(tiny):
 @pytest.mark.parametrize(
     "step, reason, length, cause",
     [
-        (50.0, "objective overflowed", 11, None),
+        (100.0, "objective overflowed", 10, None),
+        # the step overflows the shared factor, so the Gram matrix the
+        # correction factors is not finite: the next objective is inf
+        (8.0, "objective overflowed", 14, OverflowError),
         (0.25, "objective rose for 50 consecutive iterations", 51, None),
-        (0.5, "shared factor collapsed while the objective grew", 32, "lost column rank"),
-        # the Gram matrix of the exploded shared factor is singular
-        (0.33, "shared factor collapsed while the objective grew", 46, "Gram matrix is singular"),
+        (0.5, "shared factor lost column rank", 31, SingularityError),
     ],
-    ids=["overflow", "rising", "collapse", "singular"],
+    ids=["overflow", "gram_overflow", "rising", "collapse"],
 )
 def test_solve_divergence_carries_trace(tiny, step, reason, length, cause):
     # these runs diverge from an exact optimum through round-off, so they
@@ -220,8 +221,48 @@ def test_solve_divergence_carries_trace(tiny, step, reason, length, cause):
     if cause is None:
         assert info.value.__context__ is None
     else:
-        assert isinstance(info.value.__context__, SingularityError)
-        assert cause in str(info.value.__context__)
+        assert type(info.value.__context__) is cause
+
+
+def test_solve_rejects_a_start_whose_shared_factor_lost_rank(tiny):
+    # a rank loss in a basis the loop made is divergence; in the start it is
+    # bad input, found by the correction before the first round
+    start = tiny.exact_estimate()
+    u_g = start.u_g.copy()
+    u_g[:, 1] = u_g[:, 0]
+    start = FactorEstimate(u_g=u_g, v_g=start.v_g, u_l=start.u_l, v_l=start.v_l)
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    out = []
+    with pytest.raises(SingularityError, match="lost column rank"):
+        hmf_solve(obs, HmfParams(step_size=0.01, iterations=5), start, objective_out=out)
+    assert out == []
+
+
+def test_solve_loop_takes_one_cholesky_and_no_svd_or_solve_per_iteration(tiny, monkeypatch):
+    # every correction factors the shared Gram matrix once for all sources:
+    # the start's and one per round; no SVD rank check or LU solve per round
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    counts = {}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+
+    for name in ("svd", "solve", "cholesky"):
+        counting(name)
+    seen = {}
+    for iterations in (5, 50):
+        counts.clear()
+        trace = []
+        hmf_solve(obs, HmfParams(step_size=0.01, iterations=iterations), objective_out=trace)
+        assert len(trace) == iterations
+        assert counts.get("cholesky", 0) == iterations + 1
+        seen[iterations] = counts.get("svd", 0), counts.get("solve", 0)
+    assert seen[5] == seen[50]
 
 
 def reference_solve(mats, iterations, eta, beta):

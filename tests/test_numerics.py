@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from tcmf import ThinSVD, inv_sqrt_psd, projection_onto, truncated_svd
+from tcmf import FactorEstimate, ThinSVD, inv_sqrt_psd, projection_onto, truncated_svd
 from tcmf.errors import ContractViolationError, DimensionError, SingularityError
-from tcmf.numerics import as_matrix, linf, sign_fixed_qr, top_eigenvectors
+from tcmf import hmf_correct, perpca
+from tcmf.numerics import _inv_cholesky, as_matrix, linf, sign_fixed_qr, top_eigenvectors
 
 from conftest import orth
 
@@ -202,3 +203,48 @@ def test_inv_sqrt_psd_stack_checks_every_slice():
 
 def test_inv_sqrt_psd_empty_stack_slices():
     assert inv_sqrt_psd(np.zeros((3, 0, 0))).shape == (3, 0, 0)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_rank_rule_reads_the_same_at_every_scale(scale):
+    # one rule for both loops: perpca's bases are orthonormal, but hmf's
+    # shared factor carries the data's scale, so the verdict must not move
+    # with it.  A full-rank stack passes; a duplicated column raises
+    rng = np.random.default_rng(9)
+    stack = scale * rng.standard_normal((3, 7, 3))
+    gram = stack.swapaxes(-1, -2) @ stack
+    inv = _inv_cholesky(gram)
+    assert linf(inv @ gram @ inv.swapaxes(-1, -2) - np.eye(3)) < 1e-12
+    q = perpca._orthonormalize(stack)
+    assert linf(q.swapaxes(-1, -2) @ q - np.eye(3)) < 1e-12
+    est = FactorEstimate(u_g=stack[0, :, :2], v_g=[rng.standard_normal((5, 2))],
+                         u_l=[stack[1, :, :1]], v_l=[rng.standard_normal((5, 1))])
+    out = hmf_correct(est, 0)
+    assert linf(out.u_g.T @ out.u_l[0]) < 1e-12 * scale**2
+    stack[1, :, 2] = stack[1, :, 0]
+    with pytest.raises(SingularityError):
+        _inv_cholesky(stack.swapaxes(-1, -2) @ stack)
+    with pytest.raises(SingularityError):
+        perpca._orthonormalize(stack)
+    with pytest.raises(SingularityError):
+        hmf_correct(FactorEstimate(u_g=stack[1, :, ::2], v_g=est.v_g, u_l=est.u_l, v_l=est.v_l), 0)
+
+
+def test_rank_rule_overflow_is_its_own_error():
+    # the loops turn a Gram matrix that is not finite into an inf objective
+    gram = np.eye(2)
+    gram[1, 0] = np.inf
+    with pytest.raises(OverflowError):
+        _inv_cholesky(gram)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_hmf_correct_rejects_a_shared_factor_that_is_not_finite(bad):
+    # hmf_correct is public: its input is bad data, never a bare OverflowError
+    rng = np.random.default_rng(10)
+    u_g = rng.standard_normal((6, 2))
+    u_g[3, 1] = bad
+    est = FactorEstimate(u_g=u_g, v_g=[rng.standard_normal((5, 2))],
+                         u_l=[rng.standard_normal((6, 1))], v_l=[rng.standard_normal((5, 1))])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractViolationError):
+        hmf_correct(est, 0)

@@ -311,6 +311,26 @@ def test_orthonormalize_rejects_a_rank_deficient_slice():
         perpca._orthonormalize(stack)
 
 
+def test_solve_rank_loss_is_divergence_naming_the_round(tiny, monkeypatch):
+    # a stepped basis that loses column rank ends the solve as divergence:
+    # round 3's gradient drives every column onto the first one
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    real = perpca._gradient
+    rounds = []
+
+    def collapsing(joint, stacked):
+        rounds.append(None)
+        if len(rounds) == 3:
+            return 1e30 * np.repeat(joint[..., :1], joint.shape[-1], axis=-1)
+        return real(joint, stacked)
+
+    monkeypatch.setattr(perpca, "_gradient", collapsing)
+    with pytest.raises(DivergenceError, match="stepped basis lost column rank at inner iteration 3$") as info:
+        perpca_solve(obs, PerpcaParams(step_size=0.1, iterations=10))
+    assert len(info.value.objective_trace) == 2
+    assert isinstance(info.value.__context__, SingularityError)
+
+
 def test_solve_loop_takes_no_eigendecomposition(tiny, monkeypatch):
     # the retraction is one Cholesky QR; a loop that slides back to eigh (three
     # Gram-stack eigh calls per iteration with the polar retraction) fails
