@@ -10,10 +10,10 @@ Each iteration takes one gradient step per block, then corrects every
 source (as the start was before the loop), replacing u_l[i] by its component
 orthogonal to u_g and compensating v_g[i] so the reconstruction is untouched.
 The objective and the gradient blocks come from jimf._terms, the one kernel
-that hmf_objective, hmf_gradients and kkt_residuals also call.  The shared factor moves as the
-average of the per-source updated copies, accumulated in ascending source
-order.  The solver carries the joint factors [u_g u_l[i]] and
-[v_g[i] v_l[i]] as one (N, ., r1 + r2) stack each.
+that hmf_objective, hmf_gradients and kkt_residuals also call, on the joint
+factors [u_g u_l[i]] and [v_g[i] v_l[i]] of FactorEstimate.joint.  The
+shared factor moves as the average of the per-source updated copies,
+accumulated in ascending source order.
 
 The step V <- V - eta (V U^T U - M_i^T U) and the correction V <- V T^-T
 keep every v iterate of a solve in span[M_i^T v_g[i] v_l[i]], v_g[i] and
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, SingularityError
-from .jimf import ObjectiveTrace, _joint, _penalty, _start, _terms
+from .jimf import ObjectiveTrace, _penalty, _start, _terms
 from .model import FactorEstimate, ObservationSet
 from .numerics import _inv_cholesky, as_matrix
 
@@ -59,14 +59,15 @@ class HmfParams:
 def hmf_objective(est: FactorEstimate, matrices, beta: float) -> float:
     """Evaluate the objective above at the given estimate."""
     penalty = _penalty(est.r1, est.r2)
-    sources = zip(range(est.n_sources), matrices, strict=True)
-    return float(sum(_terms(*_joint(est, i), as_matrix(m), beta, penalty)[0] for i, m in sources))
+    sources = zip(*est.joint(), matrices, strict=True)
+    return float(sum(_terms(u, v, as_matrix(m), beta, penalty)[0] for u, v, m in sources))
 
 
 def hmf_gradients(est: FactorEstimate, source_index: int, matrix, beta: float):
     """Gradient blocks (u_g, v_g, u_l, v_l) of the source's term, as jimf._terms computes them."""
     r1 = est.r1
-    _, g_u, g_v = _terms(*_joint(est, source_index), as_matrix(matrix), beta, _penalty(r1, est.r2))
+    u, v = est.joint()
+    _, g_u, g_v = _terms(u[source_index], v[source_index], as_matrix(matrix), beta, _penalty(r1, est.r2))
     return g_u[:, :r1], g_v[:, :r1], g_u[:, r1:], g_v[:, r1:]
 
 
@@ -97,14 +98,10 @@ def hmf_correct(est: FactorEstimate, source_index: int) -> FactorEstimate:
     reconstruction: u_l[i] loses its component along u_g and v_g[i] absorbs
     the matching coefficient shift.  Raises SingularityError unless u_g has
     full column rank, ContractViolationError unless its Gram matrix is finite."""
-    r1 = est.r1
-    u, v = _joint(est, source_index)
-    _correct_given(u, v, r1)
-    v_g = list(est.v_g)
-    u_l = est.u_l.copy()
-    v_g[source_index] = v[:, :r1]
-    u_l[source_index] = u[:, r1:]
-    return replace(est, v_g=v_g, u_l=u_l)
+    u, v = est.joint()
+    _correct_given(u[source_index], v[source_index], est.r1)
+    fixed = FactorEstimate.from_joint(u, v, est.r1)
+    return replace(est, v_g=fixed.v_g, u_l=fixed.u_l)
 
 
 # one scope per solve: a diverging run overflows before ObjectiveTrace sees
@@ -130,9 +127,9 @@ def hmf_solve(
     ends corrected, so the estimate meets the orthogonality contract.
     """
     mats = obs.matrices
-    start = _start(obs, warm_start)
+    # the joint start, new arrays that share no memory with the warm start
+    u, v = _start(obs, warm_start)
     n, r1 = len(mats), obs.r1
-    v = [np.hstack((vg, vl)) for vg, vl in zip(start.v_g, start.v_l)]
     # q_i, the reduced Householder Q of [M_i^T v_g[i] v_l[i]] (module docstring)
     bases = [np.linalg.qr(np.hstack((m.T, vi)))[0] for m, vi in zip(mats, v)]
     k = max(q.shape[1] for q in bases)
@@ -141,8 +138,6 @@ def hmf_solve(
     for i, q in enumerate(bases):
         m_q[i, :, : q.shape[1]] = mats[i] @ q
         z[i, : q.shape[1]] = q.T @ v[i]
-    # [u_g u_l[i]] for every source, a new array that shares no memory with the warm start
-    u = np.concatenate((np.broadcast_to(start.u_g, start.u_l.shape[:-1] + (r1,)), start.u_l), axis=-1)
     eta = params.step_size
     penalty = _penalty(r1, obs.r2)
     trace = ObjectiveTrace(objective_out, scale=0.5 * sum(float(np.sum(m * m)) for m in mats))
@@ -164,10 +159,4 @@ def hmf_solve(
         if stop:
             break
 
-    v = [q @ zi[: q.shape[1]] for q, zi in zip(bases, z)]
-    return FactorEstimate(
-        u_g=u[0, :, :r1],
-        v_g=[vi[:, :r1] for vi in v],
-        u_l=u[..., r1:],
-        v_l=[vi[:, r1:] for vi in v],
-    )
+    return FactorEstimate.from_joint(u, [q @ zi[: q.shape[1]] for q, zi in zip(bases, z)], r1)

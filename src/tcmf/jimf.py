@@ -131,12 +131,13 @@ def solve(obs: ObservationSet, params, warm_start: FactorEstimate | None = None)
     raise ConfigurationError(f"params must be HmfParams or PerpcaParams, got {type(params).__name__}")
 
 
-def _start(obs: ObservationSet, warm_start: FactorEstimate | None) -> FactorEstimate:
-    """The start of a backend solve: warm_start once its ranks and shapes
-    (else DimensionError) and its finiteness (else ContractViolationError)
-    are checked against obs, or spectral_init of obs when there is none."""
+def _start(obs: ObservationSet, warm_start: FactorEstimate | None) -> tuple:
+    """The joint factors (FactorEstimate.joint) a backend solve starts from:
+    warm_start's once its ranks and shapes (else DimensionError) and its
+    finiteness (else ContractViolationError) are checked against obs, or
+    spectral_init's when there is none."""
     if warm_start is None:
-        return spectral_init(obs)
+        return spectral_init(obs).joint()
     ranks = (warm_start.r1, warm_start.r2)
     if ranks != (obs.r1, obs.r2):
         raise DimensionError(f"warm start has ranks {ranks}, expected {(obs.r1, obs.r2)}")
@@ -144,7 +145,7 @@ def _start(obs: ObservationSet, warm_start: FactorEstimate | None) -> FactorEsti
     factors = (warm_start.u_g, warm_start.u_l, *warm_start.v_g, *warm_start.v_l)
     if not all(np.isfinite(a).all() for a in factors):
         raise ContractViolationError("warm start contains NaN or Inf entries")
-    return warm_start
+    return warm_start.joint()
 
 
 def renormalize(est: FactorEstimate) -> FactorEstimate:
@@ -172,11 +173,6 @@ def _penalty(r1: int, r2: int):
     mask[:r1, :r1] = 1.0
     mask[r1:, r1:] = 1.0
     return np.eye(r), mask
-
-
-def _joint(est: FactorEstimate, i: int):
-    # source i's joint factors [u_g u_l[i]] and [v_g[i] v_l[i]]
-    return np.hstack((est.u_g, est.u_l[i])), np.hstack((est.v_g[i], est.v_l[i]))
 
 
 def _terms(u, v, m, beta, penalty):
@@ -217,7 +213,7 @@ def kkt_residuals(est: FactorEstimate, matrices) -> KktResidualReport:
         raise DimensionError("estimate and data have different source counts")
     est = renormalize(est)
     r1, penalty = est.r1, _penalty(est.r1, est.r2)
-    grads = [_terms(*_joint(est, i), m, 0.0, penalty)[1:] for i, m in enumerate(mats)]
+    grads = [_terms(u, v, m, 0.0, penalty)[1:] for u, v, m in zip(*est.joint(), mats)]
     gram_l = est.u_l.swapaxes(-1, -2) @ est.u_l - np.eye(est.r2)
     r_orth = max(linf(est.u_g.T @ est.u_g - np.eye(est.r1)), linf(gram_l), est.cross_orthogonality())
     return KktResidualReport(

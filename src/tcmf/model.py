@@ -42,6 +42,8 @@ class SynthConfig:
             raise ConfigurationError("noise_prob must lie in [0, 1]")
         if self.noise_magnitude <= 0.0:
             raise ConfigurationError("noise_magnitude must be positive")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,19 @@ class FactorEstimate:
                 shapes = f"u_l {ul.shape}, v_g {vg.shape}, v_l {vl.shape}"
                 raise DimensionError(f"source {i}: {shapes} do not fit u_g {(n1, r1)}")
         object.__setattr__(self, "u_l", np.asarray(self.u_l, dtype=np.float64))
+
+    def joint(self) -> tuple:
+        """Every source's joint factors: a new (N, n1, r1 + r2) stack of
+        [u_g u_l[i]] and the list of [v_g[i] v_l[i]]."""
+        u = np.concatenate((np.broadcast_to(self.u_g, self.u_l.shape[:-1] + (self.r1,)), self.u_l), axis=-1)
+        return u, [np.hstack(pair) for pair in zip(self.v_g, self.v_l)]
+
+    @staticmethod
+    def from_joint(u: np.ndarray, v: list, r1: int) -> "FactorEstimate":
+        """The inverse of joint(): the estimate whose factors are views of
+        the stack u and the list v split at column r1, u_g read off source 0."""
+        v_g, v_l = [vi[:, :r1] for vi in v], [vi[:, r1:] for vi in v]
+        return FactorEstimate(u_g=u[0, :, :r1], v_g=v_g, u_l=u[..., r1:], v_l=v_l)
 
     def check_fits(self, shapes: list, what: str):
         """Raise DimensionError, naming what, unless source i reconstructs

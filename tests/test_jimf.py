@@ -523,6 +523,26 @@ def test_solve_rejects_non_finite_warm_start(tiny, params, factor, bad):
         solve(obs, params, warm_start=warm)
 
 
+@pytest.mark.parametrize("entry,params", [
+    (solve, HmfParams(iterations=5)),
+    (solve, PerpcaParams(iterations=5)),
+    (hmf_solve, HmfParams(iterations=5)),
+    (perpca_solve, PerpcaParams(iterations=5)),
+], ids=["hmf", "perpca", "hmf_solve", "perpca_solve"])
+def test_both_backends_reject_the_same_bad_starts(tiny, entry, params):
+    # a finite start whose shared factor lacks full column rank, or whose
+    # Gram matrices overflow, is bad input on either backend, never rebased
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    exact = tiny.exact_estimate()
+    u_g = exact.u_g.copy()
+    u_g[:, 1] = u_g[:, 0]
+    with pytest.raises(SingularityError):
+        entry(obs, params, warm_start=FactorEstimate(u_g=u_g, v_g=exact.v_g, u_l=exact.u_l, v_l=exact.v_l))
+    huge = FactorEstimate(u_g=exact.u_g * 1e160, v_g=exact.v_g, u_l=exact.u_l * 1e160, v_l=exact.v_l)
+    with pytest.raises(ContractViolationError):
+        entry(obs, params, warm_start=huge)
+
+
 def _estimates(obs, tmp_path):
     # every producer of a FactorEstimate, on the problem obs
     start = spectral_init(obs)

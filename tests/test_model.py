@@ -8,6 +8,7 @@ from tcmf import (
     SynthConfig,
     assemble_observations,
     generate,
+    hmf_correct,
     identifiability_report,
     measure_incoherence,
     measure_misalignment,
@@ -38,6 +39,8 @@ def test_synth_config_validation():
         small_cfg(noise_prob=1.5)
     with pytest.raises(ConfigurationError):
         small_cfg(noise_magnitude=0.0)
+    with pytest.raises(ConfigurationError, match="seed"):
+        small_cfg(seed=-1)
 
 
 def test_generate_zero_noise_prob_gives_zero_sparse():
@@ -96,6 +99,35 @@ def test_ground_truth_is_a_factor_estimate():
     for i in range(gt.n_sources):
         want = gt.u_g @ gt.v_g[i].T + gt.u_l[i] @ gt.v_l[i].T
         assert np.array_equal(gt.reconstruction(i), want)
+
+
+@pytest.mark.parametrize("instance", ["tiny", "uneven"])
+@pytest.mark.parametrize("r1,r2", [(2, 2), (2, 0), (0, 2)])
+def test_joint_layout_round_trips(request, instance, r1, r2):
+    obs = ObservationSet(matrices=request.getfixturevalue(instance).mats, r1=r1, r2=r2)
+    est = spectral_init(obs)
+    factors = lambda e: [e.u_g, e.u_l, *e.v_g, *e.v_l]
+    before = [a.copy() for a in factors(est)]
+    u, v = est.joint()
+    assert u.shape == (obs.n_sources, obs.n1, r1 + r2)
+    assert [vi.shape for vi in v] == [(m.shape[1], r1 + r2) for m in obs.matrices]
+    back = FactorEstimate.from_joint(u, v, r1)
+    assert all(np.array_equal(a, b) for a, b in zip(factors(back), before, strict=True))
+    # joint() returns new arrays: writing into them leaves the estimate as it was
+    u += 1.0
+    for vi in v:
+        vi += 1.0
+    assert all(np.array_equal(a, b) for a, b in zip(factors(est), before, strict=True))
+
+
+def test_correct_keeps_a_ground_truth_a_ground_truth():
+    gt = generate(small_cfg(r2=3))
+    fixed = hmf_correct(gt, 1)
+    assert isinstance(fixed, GroundTruth)
+    assert fixed.s is gt.s
+    for i in (0, 2, 3):
+        assert np.array_equal(fixed.u_l[i], gt.u_l[i])
+        assert np.array_equal(fixed.v_g[i], gt.v_g[i])
 
 
 def _factor_parts(**overrides):

@@ -142,6 +142,21 @@ def test_solve_warm_start_from_hmf_factors(tiny):
     assert tiny.product_error(est) <= 1e-3
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_solve_start_is_scale_free(tiny, scale):
+    # the start's Cholesky QR keeps only the spans and its rank rule is
+    # relative, so a scaled warm start gives the unscaled estimate
+    from tcmf import FactorEstimate, HmfParams, hmf_solve
+
+    obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
+    rough = hmf_solve(obs, HmfParams(step_size=0.01, iterations=20, beta=1e-5))
+    scaled = FactorEstimate(u_g=rough.u_g * scale, v_g=rough.v_g, u_l=rough.u_l * scale, v_l=rough.v_l)
+    params = PerpcaParams(step_size=0.1, iterations=30)
+    want, got = perpca_solve(obs, params, warm_start=rough), perpca_solve(obs, params, warm_start=scaled)
+    for a, b in zip([want.u_g, want.u_l, *want.v_g, *want.v_l], [got.u_g, got.u_l, *got.v_g, *got.v_l]):
+        assert linf(a - b) < 1e-12
+
+
 def test_solve_rejects_non_finite_loop_inputs(tiny):
     # the loop's kernels check nothing; a NaN warm start or covariances that
     # overflow are rejected before the first step, whatever the budget
@@ -235,15 +250,15 @@ def test_solve_matches_per_source_reference(uneven):
         assert np.all(np.diag(chol) ** 2 > PSD_MIN_EIG)
         return x @ np.linalg.inv(chol).T
 
+    # the start is each source's Cholesky QR of [u_g u_l[i]], as every round's
     start = spectral_init(ObservationSet(matrices=uneven.mats, r1=2, r2=2))
-    u_g = orth(start.u_g)
-    joints = [np.hstack((u_g, orth(ul - u_g @ (u_g.T @ ul)))) for ul in start.u_l]
+    joints = [orthonormalize(np.hstack((start.u_g, ul))) for ul in start.u_l]
     covs = [m @ m.T for m in uneven.mats]
     eta = params.step_size / max(_lambda_max(c) for c in covs)
     assert len(seen) == 5
     for got_g, got_l in seen:
         steps = [j + eta * perpca_gradient(j[:, :2], j[:, 2:], c) for j, c in zip(joints, covs)]
-        acc = np.zeros_like(u_g)
+        acc = np.zeros_like(start.u_g)
         for x in steps:
             acc += x[:, :2]
         for x in steps:
@@ -404,8 +419,8 @@ def test_solve_step_that_overflows_diverges_at_its_iteration(step):
 
 
 def test_solve_loop_takes_one_cholesky_and_no_qr_per_iteration(tiny, monkeypatch):
-    # the start and the final deflation pass take a fixed number of QRs; every
-    # round orthonormalizes the whole joint stack with one Cholesky factorization
+    # the start and every round orthonormalize the whole joint stack with one
+    # Cholesky factorization, and no QR is taken anywhere
     obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     counts = {}
 
@@ -419,16 +434,14 @@ def test_solve_loop_takes_one_cholesky_and_no_qr_per_iteration(tiny, monkeypatch
 
     counting("qr")
     counting("cholesky")
-    seen = {}
     for iterations in (5, 50):
         counts.clear()
         rounds = []
         perpca_solve(obs, PerpcaParams(step_size=0.1, iterations=iterations),
                      callback=lambda tau, u_g, u_l: rounds.append(tau))
         assert len(rounds) == iterations
-        assert counts["cholesky"] == iterations
-        seen[iterations] = counts["qr"]
-    assert seen[5] == seen[50]
+        assert counts["cholesky"] == iterations + 1
+        assert "qr" not in counts
 
 
 def test_lambda_max_runs_every_slice_at_once():
