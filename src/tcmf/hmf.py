@@ -117,13 +117,14 @@ def hmf_solve(
 
     Starts from warm_start when given, otherwise from spectral_init; a warm
     start whose ranks or shapes do not fit obs raises DimensionError, one
-    with NaN or Inf entries ContractViolationError, one whose u_g lacks full
-    column rank SingularityError.  The loop runs in row-space coordinates
-    (module docstring) and records the objective once per round through
-    ObjectiveTrace (into objective_out when given), with scale
-    0.5 sum_i ||M_i||^2, the objective at zero factors: it stops under the
-    shared stopping rule, and raises DivergenceError under the shared
-    divergence rule or when a stepped u_g loses column rank.  Every round
+    with NaN or Inf entries ContractViolationError, one whose u_g, or any
+    corrected u_l[i], lacks full column rank SingularityError.  The loop
+    runs in row-space coordinates (module docstring) and records the
+    objective once per round through ObjectiveTrace (into objective_out when
+    given), with scale 0.5 sum_i ||M_i||^2, the objective at zero factors:
+    it stops under the shared stopping rule, and raises DivergenceError
+    under the shared divergence rule or when a stepped u_g loses column
+    rank.  Every round
     ends corrected, so the estimate meets the orthogonality contract.
     """
     mats = obs.matrices
@@ -143,6 +144,11 @@ def hmf_solve(
     trace = ObjectiveTrace(objective_out, scale=0.5 * sum(float(np.sum(m * m)) for m in mats))
 
     _correct_given(u, z, r1)
+    try:
+        # the corrected start's local bases meet the loops' rank rule, as perpca's start does
+        _inv_cholesky(u[..., r1:].swapaxes(-1, -2) @ u[..., r1:])
+    except OverflowError as err:
+        raise ContractViolationError("start's local Gram matrices are not finite") from err
     for _ in range(params.iterations):
         objs, g_u, g_z = _terms(u, z, m_q, params.beta, penalty)
         u = u - eta * g_u

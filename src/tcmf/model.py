@@ -211,7 +211,7 @@ def measure_sparsity(s) -> float:
     entries and every row at most alpha*n2."""
     s = as_matrix(s)
     n1, n2 = s.shape
-    nz = np.abs(s) > 0.0
+    nz = s != 0.0
     col_frac = float(nz.sum(axis=0).max(initial=0)) / n1
     row_frac = float(nz.sum(axis=1).max(initial=0)) / n2
     return max(col_frac, row_frac)
@@ -257,12 +257,13 @@ def identifiability_report(gt: GroundTruth) -> IdentifiabilityReport:
     alpha = max((measure_sparsity(si) for si in gt.s), default=0.0)
     mus = []
     sigmas = []
+    qr_g = np.linalg.qr(gt.u_g)
     for i in range(gt.n_sources):
-        for u, v in ((gt.u_g, gt.v_g[i]), (gt.u_l[i], gt.v_l[i])):
-            rank = u.shape[1]
+        for (q_u, r_u), v in ((qr_g, gt.v_g[i]), (np.linalg.qr(gt.u_l[i]), gt.v_l[i])):
+            rank = r_u.shape[1]
             if rank == 0:
                 continue
-            (q_u, r_u), (q_v, r_v) = np.linalg.qr(u), np.linalg.qr(v)
+            q_v, r_v = np.linalg.qr(v)
             # the core is min(n1, rank) x min(n2, rank): a rank above min(n1, n2) raises
             core = truncated_svd(r_u @ r_v.T, rank)
             svd = ThinSVD(u=q_u @ core.u, sigma=core.sigma, v=q_v @ core.v)

@@ -240,7 +240,8 @@ def test_solve_rejects_a_start_whose_shared_factor_lost_rank(tiny):
 
 def test_solve_loop_takes_one_cholesky_and_no_svd_or_solve_per_iteration(tiny, monkeypatch):
     # every correction factors the shared Gram matrix once for all sources:
-    # the start's and one per round; no SVD rank check or LU solve per round
+    # the start's and one per round, plus the start's local rank check; no SVD
+    # rank check or LU solve per round
     obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     counts = {}
 
@@ -260,7 +261,7 @@ def test_solve_loop_takes_one_cholesky_and_no_svd_or_solve_per_iteration(tiny, m
         trace = []
         hmf_solve(obs, HmfParams(step_size=0.01, iterations=iterations), objective_out=trace)
         assert len(trace) == iterations
-        assert counts.get("cholesky", 0) == iterations + 1
+        assert counts.get("cholesky", 0) == iterations + 2
         seen[iterations] = counts.get("svd", 0), counts.get("solve", 0)
     assert seen[5] == seen[50]
 

@@ -530,17 +530,24 @@ def test_solve_rejects_non_finite_warm_start(tiny, params, factor, bad):
     (perpca_solve, PerpcaParams(iterations=5)),
 ], ids=["hmf", "perpca", "hmf_solve", "perpca_solve"])
 def test_both_backends_reject_the_same_bad_starts(tiny, entry, params):
-    # a finite start whose shared factor lacks full column rank, or whose
-    # Gram matrices overflow, is bad input on either backend, never rebased
+    # a finite start whose shared or local factors lack full column rank, or
+    # whose Gram matrices overflow, is bad input on either backend, never rebased
     obs = ObservationSet(matrices=tiny.mats, r1=2, r2=2)
     exact = tiny.exact_estimate()
     u_g = exact.u_g.copy()
     u_g[:, 1] = u_g[:, 0]
     with pytest.raises(SingularityError):
         entry(obs, params, warm_start=FactorEstimate(u_g=u_g, v_g=exact.v_g, u_l=exact.u_l, v_l=exact.v_l))
+    u_l = exact.u_l.copy()
+    u_l[..., 1] = u_l[..., 0]
+    with pytest.raises(SingularityError, match="lost column rank"):
+        entry(obs, params, warm_start=FactorEstimate(u_g=exact.u_g, v_g=exact.v_g, u_l=u_l, v_l=exact.v_l))
     huge = FactorEstimate(u_g=exact.u_g * 1e160, v_g=exact.v_g, u_l=exact.u_l * 1e160, v_l=exact.v_l)
     with pytest.raises(ContractViolationError):
         entry(obs, params, warm_start=huge)
+    huge_local = FactorEstimate(u_g=exact.u_g, v_g=exact.v_g, u_l=exact.u_l * 1e160, v_l=exact.v_l)
+    with pytest.raises(ContractViolationError):
+        entry(obs, params, warm_start=huge_local)
 
 
 def _estimates(obs, tmp_path):

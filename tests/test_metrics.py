@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,16 @@ import pytest
 from tcmf import (
     FactorEstimate,
     GroundTruth,
+    RecoveryErrors,
     SparseEstimate,
     generate,
     recovery_errors,
     SynthConfig,
 )
 from tcmf.errors import DimensionError
+from tcmf.numerics import linf
+
+from conftest import random_estimate
 
 
 def gt_and_exact_estimate(seed=7):
@@ -79,3 +84,106 @@ def test_recovery_errors_permutation_invariant():
     permuted = recovery_errors(est_p, s_p, gt_p)
     for field in ("linf_g", "linf_l", "linf_s", "log_g", "log_l", "log_s"):
         assert getattr(permuted, field) == pytest.approx(getattr(base, field), rel=1e-12)
+
+
+def reference_recovery_errors(est, s_hat, gt):
+    """recovery_errors as plain per-source arithmetic on fresh arrays."""
+    n = gt.n_sources
+    linf_g = linf_l = linf_s = 0.0
+    sq_g = sq_l = sq_s = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            dg = est.u_g @ est.v_g[i].T - gt.u_g @ gt.v_g[i].T
+            dl = est.u_l[i] @ est.v_l[i].T - gt.u_l[i] @ gt.v_l[i].T
+            ds = s_hat.s[i] - gt.s[i]
+            linf_g += linf(dg)
+            linf_l += linf(dl)
+            linf_s += linf(ds)
+            sq_g += float(np.sum(dg * dg))
+            sq_l += float(np.sum(dl * dl))
+            sq_s += float(np.sum(ds * ds))
+        floored = [float(np.log10(max(x, 1e-16))) for x in (sq_g / n, sq_l / n, sq_s)]
+    return RecoveryErrors(linf_g / n, linf_l / n, linf_s / n, *floored)
+
+
+def sparse_noise(rng, shape, prob=0.1, magnitude=10.0):
+    return np.where(rng.random(shape) < prob, magnitude * rng.standard_normal(shape), 0.0)
+
+
+def problem(truth, seed, scale=1.0, exact=False):
+    # ground truth from truth's factors plus sparse noise; an estimate near
+    # it (or equal to it), built from views of joint stacks as the solvers
+    # return it, and a sparse estimate that moves, adds and drops entries
+    rng = np.random.default_rng(seed)
+    widths = [v.shape[0] for v in truth.v_g]
+    gt = GroundTruth(u_g=truth.u_g, v_g=truth.v_g, u_l=truth.u_l, v_l=truth.v_l,
+                     s=[sparse_noise(rng, (truth.u_g.shape[0], w)) for w in widths])
+    u, v = gt.joint()
+    if not exact:
+        with np.errstate(over="ignore"):
+            u = scale * (u + 1e-3 * rng.standard_normal(u.shape))
+            v = [scale * (vi + 1e-3 * rng.standard_normal(vi.shape)) for vi in v]
+    est = FactorEstimate.from_joint(u, v, gt.r1)
+    s = [si.copy() if exact else np.where(rng.random(si.shape) < 0.05, 0.0, si + sparse_noise(rng, si.shape))
+         for si in gt.s]
+    return est, SparseEstimate.from_matrices(s), gt
+
+
+def same_bits(got, want):
+    for field in ("linf_g", "linf_l", "linf_s", "log_g", "log_l", "log_s"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a == b or (math.isnan(a) and math.isnan(b)), (field, a, b)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("instance,r1,r2", [
+    ("tiny", 2, 2), ("uneven", 2, 2), ("uneven", 0, 2), ("uneven", 2, 0),
+])
+@pytest.mark.parametrize("case,scale", [
+    ("near", 1.0), ("exact", 1.0), ("overflow", 1e200), ("infinite", np.inf),
+])
+def test_recovery_errors_match_the_per_source_formula_bit_for_bit(request, instance, r1, r2, case, scale):
+    # the work arrays change where the differences live, never a bit of the
+    # result: not for unequal widths, empty factors, an exact estimate (logs
+    # at the -16 floor) or one scaled until its errors overflow to inf, or,
+    # with infinite factors, to nan
+    inst = request.getfixturevalue(instance)
+    truth = random_estimate(np.random.default_rng(11), inst.u_g.shape[0], [m.shape[1] for m in inst.mats], r1, r2)
+    if (r1, r2) == (inst.r1, inst.r2):
+        truth = inst.exact_estimate()
+    est, s_hat, gt = problem(truth, seed=5, scale=scale, exact=case == "exact")
+    got = recovery_errors(est, s_hat, gt)
+    same_bits(got, reference_recovery_errors(est, s_hat, gt))
+    low_rank = [(got.linf_g, got.log_g)] * (r1 > 0) + [(got.linf_l, got.log_l)] * (r2 > 0)
+    if case == "exact":
+        assert (got.log_g, got.log_l, got.log_s) == (-16.0, -16.0, -16.0)
+    if case == "overflow":
+        assert all(field == np.inf for fields in low_rank for field in fields)
+    if case == "infinite":
+        assert all(math.isnan(field) for fields in low_rank for field in fields)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_recovery_errors_match_the_per_source_formula_on_mid_sized_sources(seed):
+    # a log10 hides most last-bit moves of a squared sum; at this size a
+    # reordered sum (vdot, einsum, one joint product) shows in most seeds
+    truth = random_estimate(np.random.default_rng(seed), 50, [300, 200, 257], 2, 2)
+    est, s_hat, gt = problem(truth, seed=seed)
+    same_bits(recovery_errors(est, s_hat, gt), reference_recovery_errors(est, s_hat, gt))
+
+
+def test_recovery_errors_work_in_two_source_sized_arrays():
+    # the parent formula's temporaries peaked at 5 source-sized arrays
+    gt = generate(SynthConfig(n_sources=4, n1=20, n2=2000, r1=2, r2=2,
+                              noise_prob=0.01, noise_magnitude=100.0, seed=3))
+    est, s_hat, gt = problem(gt, seed=1)
+    source_bytes = gt.s[0].nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        recovery_errors(est, s_hat, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / source_bytes <= 2.2
