@@ -5,6 +5,11 @@ Epoch t (estimates start at zero):
     s_hat[i] = hard_threshold(M_i - L_hat[i], lambda_t)
     factors  = jimf backend fit of {M_i - s_hat[i]}
     lambda_{t+1} = rho * lambda_t + epsilon
+
+The noise is sparse, so an epoch holds each s_hat[i] as its support: the
+flat indices and values of the entries above lambda_t.  Beside the data, the
+solve then holds one data-sized stack, the cleaned {M_i - s_hat[i]}; the
+dense s_hat is built after the solve, and only where it is read.
 """
 
 import time
@@ -62,6 +67,30 @@ def _support_violations(s_hat: SparseEstimate, true_support: list) -> int:
     return sum(s_hat.support_sizes) - kept_on_support
 
 
+def _split(m: np.ndarray, r: np.ndarray, lam: float):
+    # _threshold(r, lam) in support form, the C-order flat indices and values
+    # of the entries above lam, and m less it.  The cleaned matrix is laid out
+    # as m - _threshold(r, lam) would be, like r; off the support it is m
+    # itself, as m - (+0.0) is, and on it m_ij - r_ij, the same subtraction
+    idx = np.flatnonzero(np.abs(r) > lam)
+    vals = r.take(idx)
+    cleaned = np.empty_like(r)
+    np.copyto(cleaned, m)
+    np.put(cleaned, idx, m.take(idx) - vals)
+    return cleaned, (idx, vals)
+
+
+def _dense(mats: list, supports: list) -> SparseEstimate:
+    # the sparse part _threshold gives: each support's values in a matrix of
+    # its source's shape, +0.0 off the support
+    dense = []
+    for m, (idx, vals) in zip(mats, supports):
+        s = np.zeros(m.shape)
+        np.put(s, idx, vals)
+        dense.append(s)
+    return SparseEstimate(s=dense)
+
+
 def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     """Run the alternating loop and return (factors, sparse part, traces).
 
@@ -69,6 +98,12 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     recovery errors and the count of sparse entries placed off-support.
     Backend divergence propagates with the completed epoch traces attached
     to the raised error.
+
+    Each epoch holds its sparse part as its support (flat indices and values
+    per source) beside the cleaned data.  The dense SparseEstimate is built
+    after the solve, once the cleaned data is dropped, and only where it is
+    read: every epoch with ground truth, for scoring, and once after the
+    last epoch without it.
     """
     est: FactorEstimate | None = None
     traces: list[EpochTrace] = []
@@ -77,17 +112,17 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     try:
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
-            s_hat, s_mats, cleaned = None, [], []  # only est and lam carry over
-            for i, m in enumerate(obs.matrices):
-                s_mats.append(_threshold(m if est is None else m - est.reconstruction(i), lam))
-                cleaned.append(m - s_mats[-1])
-            s_hat = SparseEstimate(s=s_mats)
-            warm = est if cfg.warm_start_policy == "carry_forward" else None
-            est = solve(ObservationSet(matrices=cleaned, r1=obs.r1, r2=obs.r2), cfg.params, warm)
-            del cleaned  # spent: the metrics' temporaries take its room
+            s_hat = None  # only est and lam carry over
+            cleaned, supports = zip(*[_split(m, m if est is None else m - est.reconstruction(i), lam)
+                                      for i, m in enumerate(obs.matrices)])
+            if cfg.warm_start_policy != "carry_forward":
+                est = None  # spent: a fresh start reads only the cleaned data
+            est = solve(ObservationSet(matrices=cleaned, r1=obs.r1, r2=obs.r2), cfg.params, est)
+            del cleaned  # spent: the dense sparse part and the metrics' temporaries take its room
             wall_ms = (time.perf_counter() - t0) * 1e3
             errors = {}
             if gt is not None:
+                s_hat = _dense(obs.matrices, supports)
                 errors = asdict(recovery_errors(est, s_hat, gt))
                 errors["support_violations"] = _support_violations(s_hat, true_support)
             traces.append(EpochTrace(epoch=epoch, lam=lam, wall_ms=wall_ms, **errors))
@@ -95,6 +130,8 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     except DivergenceError as err:
         err.epoch_traces = traces
         raise
+    if s_hat is None:  # no ground truth: the last epoch's, built once for the caller
+        s_hat = _dense(obs.matrices, supports)
     return est, s_hat, traces
 
 

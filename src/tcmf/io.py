@@ -63,20 +63,27 @@ def write_matrix(path, m):
 
 
 def read_matrix(path) -> np.ndarray:
+    """Read a matrix file into a new float64 array.  The file's size is
+    checked against its header before the payload is allocated, so a corrupt
+    header cannot ask for more memory than the file holds."""
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"matrix file missing: {path}")
-    data = path.read_bytes()
-    if len(data) < _HEADER.size:
-        raise CorruptDataError(f"{path}: shorter than the header")
-    magic, rows, cols = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise CorruptDataError(f"{path}: bad magic {magic!r}")
-    expected = _HEADER.size + rows * cols * 8
-    if len(data) != expected:
-        raise CorruptDataError(f"{path}: expected {expected} bytes, found {len(data)}")
-    flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
-    m = flat.reshape(rows, cols).astype(np.float64, copy=True)
+    with path.open("rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise CorruptDataError(f"{path}: shorter than the header")
+        magic, rows, cols = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise CorruptDataError(f"{path}: bad magic {magic!r}")
+        expected = _HEADER.size + rows * cols * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise CorruptDataError(f"{path}: expected {expected} bytes, found {size}")
+        m = np.empty((rows, cols), dtype="<f8")
+        if fh.readinto(m.reshape(-1).view(np.uint8)) != m.nbytes:
+            raise CorruptDataError(f"{path}: payload ends early")
+    m = m.astype(np.float64, copy=False)  # a no-op on little-endian hosts
     if m.size and not np.isfinite(m).all():
         raise CorruptDataError(f"{path}: payload contains NaN or Inf")
     return m

@@ -140,9 +140,7 @@ def perpca_solve(
     """
     mats = obs.matrices
     n, r1 = len(mats), obs.r1
-    # v goes unused but stays bound: freeing it here shifts glibc's heap so the next
-    # set-up of perfbench's wide_fresh re-faults its pages (setup_s +18%, 10 of 11 pairs)
-    joint, v = _start(obs, warm_start)
+    joint = _start(obs, warm_start)[0]
     try:
         joint = _orthonormalize(joint)
     except OverflowError as err:

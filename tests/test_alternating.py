@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from tcmf import (
 from tcmf import alternating, perpca
 from tcmf.errors import ConfigurationError, DivergenceError
 from tcmf.numerics import linf
+from tcmf.thresholding import _threshold
 
 from conftest import orth
 
@@ -260,16 +262,8 @@ def _wide_instance(r1=2):
     return gt, obs, initial_lambda(obs, "theoretical", identifiability_report(gt))
 
 
-@pytest.mark.parametrize("policy", ["fresh_spectral", "carry_forward"])
-def test_run_holds_one_epochs_stacks_at_a_time(policy):
-    # beside the data and the truth, an epoch needs its sparse part and its
-    # cleaned data (about 2.6 data-sizes with the solve's temporaries).  A
-    # loop that keeps the last epoch's stacks and a list of reconstructions
-    # peaks at 4.5 or more; one that keeps the cleaned data through the
-    # metrics, at about 3.5
-    gt, obs, lam1 = _wide_instance()
-    cfg = tiny_cfg(lam1, epochs=3, rho=0.9, params=PerpcaParams(step_size=0.1, iterations=5),
-                   warm_start_policy=policy)
+def _traced_peak_over_data(obs, cfg, gt):
+    # the traced peak of run above what was loaded, in data-sizes
     data_bytes = sum(m.nbytes for m in obs.matrices)
     tracemalloc.start()
     try:
@@ -279,7 +273,116 @@ def test_run_holds_one_epochs_stacks_at_a_time(policy):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - before) / data_bytes <= 3.0
+    return (peak - before) / data_bytes
+
+
+@pytest.mark.parametrize("policy", ["fresh_spectral", "carry_forward"])
+def test_run_holds_one_epochs_stacks_at_a_time(policy):
+    # beside the data and the truth, an epoch needs its cleaned data through
+    # the solve, then its dense sparse part and two scoring work arrays of
+    # one source each: about 1.74 data-sizes here, where a source is a
+    # quarter of the data.  A loop that holds the dense sparse part through
+    # the solve peaks at about 2.6; one that keeps the last epoch's stacks
+    # and a list of reconstructions, at 4.5 or more
+    gt, obs, lam1 = _wide_instance()
+    cfg = tiny_cfg(lam1, epochs=3, rho=0.9, params=PerpcaParams(step_size=0.1, iterations=5),
+                   warm_start_policy=policy)
+    assert _traced_peak_over_data(obs, cfg, gt) <= 2.0
+
+
+@pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no_truth"])
+@pytest.mark.parametrize("policy", ["fresh_spectral", "carry_forward"])
+def test_run_holds_one_data_sized_stack_beside_the_data(policy, with_truth):
+    # an epoch holds its sparse part as its support, so its solve holds one
+    # data-sized stack, the cleaned data, and the dense part is built after
+    # it: about 1.5 data-sizes on these ten small sources.  A loop that holds
+    # the dense sparse part beside the cleaned data reads 2.66 or more
+    gt = generate(SynthConfig(n_sources=10, n1=20, n2=800, r1=2, r2=2,
+                              noise_prob=0.01, noise_magnitude=100.0, seed=3))
+    obs = assemble_observations(gt)
+    cfg = tiny_cfg(initial_lambda(obs, "theoretical", identifiability_report(gt)), epochs=3, rho=0.9,
+                   params=PerpcaParams(step_size=0.1, iterations=5), warm_start_policy=policy)
+    assert _traced_peak_over_data(obs, cfg, gt if with_truth else None) <= 2.0
+
+
+def _with_signed_zeros(a, rng):
+    # a C-ordered copy of a with three entries set to +0.0 and three to -0.0
+    a = np.array(a, order="C")
+    picks = rng.choice(a.size, size=6, replace=False)
+    a.reshape(-1)[picks] = [0.0, 0.0, 0.0, -0.0, -0.0, -0.0]
+    return a
+
+
+def test_support_form_gives_the_dense_threshold_bit_for_bit(uneven):
+    # _split's cleaned matrix and _dense's sparse part against the dense
+    # m - _threshold(r, lam) and _threshold(r, lam): values, signed zeros and
+    # the memory layout the solve's Gram stack reads
+    rng = np.random.default_rng(11)
+    cases = []
+    for m in uneven.mats:
+        m = _with_signed_zeros(m, rng)
+        low = rng.standard_normal((m.shape[0], 2)) @ rng.standard_normal((2, m.shape[1]))
+        r = _with_signed_zeros(m - low, rng)
+        lam = float(np.median(np.abs(r)))
+        cases += [(m, r, lam), (m, m, lam)]  # a later epoch, and the first, where r is m
+    m, r, lam = cases[0]
+    f = np.asfortranarray(m)
+    cases += [(f, f, lam), (f, r, lam)]
+    away_from_zero = r + np.where(np.signbit(r), -1.0, 1.0)
+    cases += [(m, r, float(np.max(np.abs(r)))), (m, r, 1e300), (m, away_from_zero, 0.5)]
+    sizes = []
+    for m, r, lam in cases:
+        cleaned, support = alternating._split(m, r, lam)
+        sizes.append(support[0].size)
+        s = alternating._dense([m], [support]).s[0]
+        want_s = _threshold(r, lam)
+        want_cleaned = m - want_s
+        for got, want in ((s, want_s), (cleaned, want_cleaned)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert cleaned.flags.f_contiguous == want_cleaned.flags.f_contiguous
+    assert sizes[-3:] == [0, 0, m.size]  # two empty supports and a full one
+
+
+@pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no_truth"])
+def test_run_builds_the_dense_sparse_part_only_where_it_is_read(monkeypatch, with_truth):
+    # scoring reads the dense part every epoch; without ground truth only
+    # the returned one is built.  wall_ms still spans thresholding and solve
+    gt = generate(SynthConfig(n_sources=3, n1=10, n2=24, r1=2, r2=2,
+                              noise_prob=0.03, noise_magnitude=40.0, seed=5))
+    obs = assemble_observations(gt)
+    cfg = tiny_cfg(initial_lambda(obs, "theoretical", identifiability_report(gt)), epochs=4, rho=0.9,
+                   params=HmfParams(step_size=5e-3, iterations=20, beta=1e-5))
+    built, split_starts, solves = [], [], []
+    split, solve = alternating._split, alternating.solve
+
+    def counting_estimate(s):
+        built.append(SparseEstimate(s=s))
+        return built[-1]
+
+    def timed_split(*args):
+        split_starts.append(time.perf_counter())
+        return split(*args)
+
+    def timed_solve(problem, params, warm):
+        est = solve(problem, params, warm)
+        solves.append((problem, est, time.perf_counter()))
+        return est
+
+    monkeypatch.setattr(alternating, "SparseEstimate", counting_estimate)
+    monkeypatch.setattr(alternating, "_split", timed_split)
+    monkeypatch.setattr(alternating, "solve", timed_solve)
+    _, s_hat, traces = run(obs, cfg, gt if with_truth else None)
+    assert len(built) == (cfg.epochs if with_truth else 1)
+    assert built[-1] is s_hat
+    last_fit = solves[-2][1]
+    for i, m in enumerate(obs.matrices):
+        want = _threshold(m - last_fit.reconstruction(i), traces[-1].lam)
+        assert np.array_equal(s_hat.s[i], want)
+        assert np.array_equal(solves[-1][0].matrices[i], m - want)
+    n = obs.n_sources
+    for epoch, t in enumerate(traces):
+        assert t.wall_ms / 1e3 >= solves[epoch][2] - split_starts[epoch * n]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
