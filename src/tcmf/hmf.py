@@ -86,20 +86,13 @@ def _correct(u, v, r1):
     v[..., :r1] += v[..., r1:] @ g.swapaxes(-1, -2)
 
 
-def _correct_given(u, v, r1):
-    try:
-        _correct(u, v, r1)
-    except OverflowError as err:
-        raise ContractViolationError("shared factor's Gram matrix is not finite") from err
-
-
 def hmf_correct(est: FactorEstimate, source_index: int) -> FactorEstimate:
     """Restore u_g^T u_l[i] = 0 for one source without moving its
     reconstruction: u_l[i] loses its component along u_g and v_g[i] absorbs
     the matching coefficient shift.  Raises SingularityError unless u_g has
     full column rank, ContractViolationError unless its Gram matrix is finite."""
     u, v = est.joint()
-    _correct_given(u[source_index], v[source_index], est.r1)
+    _correct(u[source_index], v[source_index], est.r1)
     fixed = FactorEstimate.from_joint(u, v, est.r1)
     return replace(est, v_g=fixed.v_g, u_l=fixed.u_l)
 
@@ -143,12 +136,9 @@ def hmf_solve(
     penalty = _penalty(r1, obs.r2)
     trace = ObjectiveTrace(objective_out, scale=0.5 * sum(float(np.sum(m * m)) for m in mats))
 
-    _correct_given(u, z, r1)
-    try:
-        # the corrected start's local bases meet the loops' rank rule, as perpca's start does
-        _inv_cholesky(u[..., r1:].swapaxes(-1, -2) @ u[..., r1:])
-    except OverflowError as err:
-        raise ContractViolationError("start's local Gram matrices are not finite") from err
+    _correct(u, z, r1)
+    # the corrected start's local bases meet the loops' rank rule, as perpca's start does
+    _inv_cholesky(u[..., r1:].swapaxes(-1, -2) @ u[..., r1:])
     for _ in range(params.iterations):
         objs, g_u, g_z = _terms(u, z, m_q, params.beta, penalty)
         u = u - eta * g_u
@@ -158,7 +148,7 @@ def hmf_solve(
         stop = trace.record(sum(objs.tolist()))
         try:
             _correct(u, z, r1)
-        except OverflowError:
+        except ContractViolationError:
             trace.record(np.inf)  # the next objective: raises DivergenceError
         except SingularityError:
             trace.fail("shared factor lost column rank")

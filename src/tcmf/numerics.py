@@ -116,8 +116,8 @@ def sign_fixed_qr(a) -> tuple:
 
 def _inv_cholesky(gram: np.ndarray) -> np.ndarray:
     # L^-1, L L^T = gram, for a basis's Gram matrix (or stack) under the loops'
-    # one rank rule: OverflowError if gram is not finite, SingularityError if
-    # no factor or an L_jj^2 <= PSD_MIN_EIG * max_k gram_kk (relative: u_g is unscaled)
+    # one rank rule: ContractViolationError if gram is not finite, SingularityError
+    # if no factor or an L_jj^2 <= PSD_MIN_EIG * max_k gram_kk (relative: u_g is unscaled)
     try:
         chol = np.linalg.cholesky(gram)
         pivots = np.diagonal(chol, axis1=-2, axis2=-1) ** 2
@@ -126,7 +126,7 @@ def _inv_cholesky(gram: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     finite = np.isfinite(gram).all()  # NaN or Inf always fails a test above
-    raise SingularityError("basis lost column rank") if finite else OverflowError("Gram matrix overflowed")
+    raise SingularityError("basis lost column rank") if finite else ContractViolationError("Gram matrix is not finite")
 
 
 def projection_onto(u) -> np.ndarray:

@@ -140,11 +140,7 @@ def perpca_solve(
     """
     mats = obs.matrices
     n, r1 = len(mats), obs.r1
-    joint = _start(obs, warm_start)[0]
-    try:
-        joint = _orthonormalize(joint)
-    except OverflowError as err:
-        raise ContractViolationError("start's Gram matrix is not finite") from err
+    joint = _orthonormalize(_start(obs, warm_start)[0])
     covs = obs.grams
     scale = _lambda_max(covs)
     eta = params.step_size / scale if scale > 0.0 else 0.0
@@ -157,7 +153,7 @@ def perpca_solve(
         step[..., :r1] = step[..., :r1].sum(axis=0) / n
         try:
             joint = _orthonormalize(step)
-        except OverflowError:
+        except ContractViolationError:
             trace.record(np.inf)  # raises DivergenceError naming this round
         except SingularityError:
             trace.fail("stepped basis lost column rank", tau + 1)

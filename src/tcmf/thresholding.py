@@ -1,6 +1,6 @@
 """Entrywise hard thresholding and the geometric threshold schedule."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +34,15 @@ class LambdaSchedule:
 
 @dataclass(frozen=True)
 class SparseEstimate:
-    """Per-source sparse noise estimates plus their support sizes, counted
-    from s.  The constructor takes s as given; from_matrices converts and
-    validates it first."""
+    """Per-source sparse noise estimates.  The constructor takes s as given;
+    from_matrices converts and validates it first."""
 
     s: list
-    support_sizes: list = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "support_sizes", [int(np.count_nonzero(m)) for m in self.s])
+    @property
+    def support_sizes(self) -> list:
+        """Nonzero count of each source's estimate, counted on each read."""
+        return [int(np.count_nonzero(m)) for m in self.s]
 
     @classmethod
     def from_matrices(cls, mats) -> "SparseEstimate":

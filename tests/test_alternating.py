@@ -1,3 +1,4 @@
+import functools
 import time
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tcmf import (
+    GroundTruth,
     HmfParams,
     LambdaSchedule,
     ObservationSet,
@@ -24,6 +26,7 @@ from tcmf import (
 )
 from tcmf import alternating, perpca
 from tcmf.errors import ConfigurationError, DivergenceError
+from tcmf.metrics import LOG_FLOOR
 from tcmf.numerics import linf
 from tcmf.thresholding import _threshold
 
@@ -482,3 +485,75 @@ def test_desk_perpca_stops_each_solve_on_the_rule(monkeypatch):
     got = (final.log_g, final.log_l, final.log_s)
     np.testing.assert_allclose(got, DESK_FULL_BUDGET_FINALS, rtol=0, atol=1e-3)
     assert max(t.support_violations for t in traces) == 0
+
+
+# The north star's edge cases, on both backends: no shared part, no local
+# part, and sources of unequal widths.  One draw of 4 sources of 12 rows is
+# cut to these widths for each rank pair.
+EDGE_WIDTHS = (30, 45, 20, 38)
+EDGE_RANKS = [(0, 3), (3, 0), (2, 2)]
+EDGE_PARAMS = {
+    "hmf": HmfParams(step_size=5e-3, iterations=100, beta=1e-5),
+    "perpca": PerpcaParams(step_size=0.1, iterations=100),
+}
+LOG_NAMES = ("log_g", "log_l", "log_s")
+
+
+@functools.cache
+def _edge_traces(backend, r1, r2, seed, c=1.0):
+    # the epoch traces of 15 epochs on the cut draw with v and s scaled by c,
+    # so the data scales by c, and so do the theoretical lambda1 and epsilon
+    gt = generate(SynthConfig(n_sources=4, n1=12, n2=max(EDGE_WIDTHS), r1=r1, r2=r2,
+                              noise_prob=0.02, noise_magnitude=50.0, seed=seed))
+    gt = GroundTruth(u_g=gt.u_g, u_l=gt.u_l,
+                     v_g=[c * v[:w] for v, w in zip(gt.v_g, EDGE_WIDTHS)],
+                     v_l=[c * v[:w] for v, w in zip(gt.v_l, EDGE_WIDTHS)],
+                     s=[c * s[:, :w] for s, w in zip(gt.s, EDGE_WIDTHS)])
+    obs = assemble_observations(gt)
+    lam1 = initial_lambda(obs, "theoretical", identifiability_report(gt))
+    cfg = TcmfConfig(schedule=LambdaSchedule(lambda1=lam1, rho=0.9, epsilon=1e-3 * c), epochs=15,
+                     params=EDGE_PARAMS[backend])
+    return tuple(run(obs, cfg, gt)[2])
+
+
+def _unfloored(trace):
+    # the log errors of a trace that are not the floor of a part that is
+    # exactly zero (the shared part at r1 = 0, the local one at r2 = 0)
+    return [name for name in LOG_NAMES if getattr(trace, name) > np.log10(LOG_FLOOR)]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("r1, r2", EDGE_RANKS, ids=[f"r{a}{b}" for a, b in EDGE_RANKS])
+@pytest.mark.parametrize("backend", ["hmf", "perpca"])
+def test_run_recovers_edge_cases(backend, r1, r2, seed):
+    # measured: the worst linf_s is 0.12 of 2 lambda, the smallest fall 0.90 decade
+    traces = _edge_traces(backend, r1, r2, seed)
+    assert len(traces) == 15
+    for t in traces:
+        assert t.support_violations == 0
+        assert t.linf_s <= 2.0 * t.lam
+    first, last = traces[0], traces[-1]
+    assert _unfloored(first)
+    for name in _unfloored(first):
+        assert getattr(last, name) <= getattr(first, name) - 0.5, name
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("r1, r2", EDGE_RANKS, ids=[f"r{a}{b}" for a, b in EDGE_RANKS])
+@pytest.mark.parametrize("c", [1e-2, 1e2])
+@pytest.mark.parametrize("backend", [
+    "perpca",
+    # ROADMAP item 3: hmf's absolute step is not scale-free.  At x1e2 it
+    # diverges in epoch 1, at x1e-2 it ends 0.07-2.9 decades off
+    pytest.param("hmf", marks=pytest.mark.xfail(strict=True, reason="hmf is not scale-equivariant (ROADMAP item 3)")),
+])
+def test_run_is_scale_equivariant_on_edge_cases(backend, c, r1, r2, seed):
+    # data scaled by c, with lambda1 and epsilon, scales every error by c: each
+    # squared-error log moves by 2 log10(c) in every epoch
+    base = _edge_traces(backend, r1, r2, seed)
+    scaled = _edge_traces(backend, r1, r2, seed, c)
+    assert len(scaled) == len(base)
+    for t, t_c in zip(base, scaled):
+        assert t_c.support_violations == 0
+        for name in _unfloored(t):
+            assert abs(getattr(t_c, name) - getattr(t, name) - 2.0 * np.log10(c)) <= 0.01, name

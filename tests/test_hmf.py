@@ -12,7 +12,7 @@ from tcmf import (
     hmf_solve,
     spectral_init,
 )
-from tcmf.errors import ConfigurationError, DivergenceError, SingularityError
+from tcmf.errors import ConfigurationError, ContractViolationError, DivergenceError, SingularityError
 from tcmf.jimf import ObjectiveTrace
 from tcmf.numerics import linf
 
@@ -200,7 +200,7 @@ def test_solve_objective_nonincreasing(tiny):
         (100.0, "objective overflowed", 10, None),
         # the step overflows the shared factor, so the Gram matrix the
         # correction factors is not finite: the next objective is inf
-        (8.0, "objective overflowed", 14, OverflowError),
+        (8.0, "objective overflowed", 14, ContractViolationError),
         (0.25, "objective rose for 50 consecutive iterations", 51, None),
         (0.5, "shared factor lost column rank", 31, SingularityError),
     ],

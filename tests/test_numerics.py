@@ -234,7 +234,7 @@ def test_rank_rule_overflow_is_its_own_error():
     # the loops turn a Gram matrix that is not finite into an inf objective
     gram = np.eye(2)
     gram[1, 0] = np.inf
-    with pytest.raises(OverflowError):
+    with pytest.raises(ContractViolationError, match="Gram matrix is not finite"):
         _inv_cholesky(gram)
 
 
