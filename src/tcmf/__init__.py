@@ -33,8 +33,8 @@ from .model import (
     measure_misalignment,
     measure_sparsity,
 )
-from .numerics import ThinSVD, inv_sqrt_psd, projection_onto, truncated_svd
-from .perpca import PerpcaParams, generalized_retraction, perpca_gradient, perpca_solve
+from .numerics import ThinSVD, projection_onto, truncated_svd
+from .perpca import PerpcaParams, perpca_solve
 from .thresholding import (
     LambdaSchedule,
     SparseEstimate,
@@ -67,7 +67,6 @@ __all__ = [
     "TcmfError",
     "ThinSVD",
     "assemble_observations",
-    "generalized_retraction",
     "generate",
     "hard_threshold",
     "hmf_correct",
@@ -76,13 +75,11 @@ __all__ = [
     "hmf_solve",
     "identifiability_report",
     "initial_lambda",
-    "inv_sqrt_psd",
     "kkt_residuals",
     "measure_incoherence",
     "measure_misalignment",
     "measure_sparsity",
     "next_lambda",
-    "perpca_gradient",
     "perpca_solve",
     "projection_onto",
     "recovery_errors",

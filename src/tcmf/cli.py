@@ -19,7 +19,6 @@ from .alternating import TcmfConfig, run as run_outer
 from .errors import (
     ConfigurationError,
     CorruptDataError,
-    DimensionError,
     DivergenceError,
     MissingInputError,
     TcmfError,
@@ -122,10 +121,6 @@ def cli_check(data_dir) -> int:
 def cli_metrics(data_dir, out_path=None) -> int:
     gt = _ground_truth(data_dir)
     est, s_hat = io.load_estimates(data_dir, gt.n_sources)
-    shapes = [si.shape for si in gt.s]
-    est.check_fits(shapes, "estimates vs the ground truth")
-    if [si.shape for si in s_hat.s] != shapes:
-        raise DimensionError(f"estimated sparse parts do not match the ground truth shapes {shapes}")
     text = io.format_fields(recovery_errors(est, s_hat, gt))
     if out_path is not None:
         io.atomic_write(out_path, text.encode())

@@ -117,8 +117,8 @@ def hmf_solve(
     given), with scale 0.5 sum_i ||M_i||^2, the objective at zero factors:
     it stops under the shared stopping rule, and raises DivergenceError
     under the shared divergence rule or when a stepped u_g loses column
-    rank.  Every round
-    ends corrected, so the estimate meets the orthogonality contract.
+    rank.  Every round ends corrected, so the estimate meets the
+    orthogonality contract.
     """
     mats = obs.matrices
     # the joint start, new arrays that share no memory with the warm start

@@ -42,16 +42,19 @@ def recovery_errors(est: FactorEstimate, s_hat: SparseEstimate, gt: GroundTruth)
     n = gt.n_sources
     if est.n_sources != n or len(s_hat.s) != n:
         raise DimensionError("estimate, sparse part and ground truth disagree on source count")
+    shapes = [np.shape(s) for s in gt.s]
+    est.check_fits(shapes, "estimates vs the ground truth")
+    if [np.shape(s) for s in s_hat.s] != shapes:
+        raise DimensionError(f"estimated sparse parts do not match the ground truth shapes {shapes}")
     # Two work arrays sized to the largest source.  Each source's differences
     # are taken in C-contiguous views of its shape, so np.sum adds them in the
     # order it would a fresh array's and every bit is the plain formula's.
-    size = max(math.prod(np.shape(s)) for s in gt.s)
+    size = max(math.prod(shape) for shape in shapes)
     work = np.empty(size), np.empty(size)
     linf_g = linf_l = linf_s = 0.0
     sq_g = sq_l = sq_s = 0.0
     for i in range(n):
-        shape = np.shape(gt.s[i])
-        a, b = (w[: math.prod(shape)].reshape(shape) for w in work)
+        a, b = (w[: math.prod(shapes[i])].reshape(shapes[i]) for w in work)
         np.subtract(np.matmul(est.u_g, est.v_g[i].T, out=a), np.matmul(gt.u_g, gt.v_g[i].T, out=b), out=a)
         top, sq = _max_and_squares(a, b)
         linf_g, sq_g = linf_g + top, sq_g + sq

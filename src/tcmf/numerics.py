@@ -13,7 +13,6 @@ from .errors import ContractViolationError, DimensionError, SingularityError
 
 ORTHO_TOL = 1e-10
 RANK_RTOL = 1e-12
-SYM_TOL = 1e-10
 PSD_MIN_EIG = 1e-12
 
 
@@ -140,20 +139,3 @@ def projection_onto(u) -> np.ndarray:
         raise SingularityError("projection requires full column rank")
     p = q @ q.T
     return (p + p.T) / 2.0
-
-
-def inv_sqrt_psd(a) -> np.ndarray:
-    """Inverse principal square root of a symmetric positive-definite matrix,
-    or of every matrix in a stack (..., n, n); every slice must pass the
-    symmetry and definiteness checks."""
-    a = as_stack(a)
-    if a.shape[-2] != a.shape[-1]:
-        raise DimensionError("inv_sqrt_psd needs square matrices")
-    if linf(a - a.swapaxes(-1, -2)) >= SYM_TOL:
-        raise ContractViolationError("matrix is not symmetric")
-    sym = (a + a.swapaxes(-1, -2)) / 2.0  # kill round-off asymmetry before eigh
-    w, q = np.linalg.eigh(sym)
-    if np.any(w <= PSD_MIN_EIG):
-        raise SingularityError("matrix is not positive definite")
-    b = (q / np.sqrt(w)[..., None, :]) @ q.swapaxes(-1, -2)
-    return (b + b.swapaxes(-1, -2)) / 2.0

@@ -11,19 +11,20 @@ stack: the shared columns become the orthonormal factor of the averaged
 shared step, and every local block that of its step deflated against the
 new shared basis.  The step, the average and the deflation are
 right-equivariant and only the spans reach the outputs, so the iterates span
-what the generalized polar retraction (generalized_retraction) of each step
-would; only the bases inside the spans differ.  Coefficient factors are read
-off the last iterate as v = M^T u.
+what the generalized polar retraction w (w^T w)^{-1/2} of each step w would;
+only the bases inside the spans differ, as
+test_perpca.py::test_solve_tracks_the_polar_retraction_subspaces checks.
+Coefficient factors are read off the last iterate as v = M^T u.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, DimensionError, SingularityError
+from .errors import ConfigurationError, ContractViolationError, SingularityError
 from .jimf import ObjectiveTrace, _start
 from .model import FactorEstimate, ObservationSet
-from .numerics import _inv_cholesky, as_stack, inv_sqrt_psd
+from .numerics import _inv_cholesky
 
 POWER_ITERATIONS = 20
 
@@ -40,25 +41,6 @@ class PerpcaParams:
             raise ConfigurationError("iterations must be nonnegative")
 
 
-def generalized_retraction(u, v) -> np.ndarray:
-    """Map the displaced basis u + v back onto the Stiefel manifold:
-    (u + v) ((u + v)^T (u + v))^{-1/2}.  u and v may be stacks (..., n, r);
-    each slice is retracted on its own."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim < 2:
-        raise DimensionError(f"expected a matrix or a stack of matrices, got ndim={u.ndim}")
-    if u.shape != v.shape:
-        raise DimensionError("u and v must have the same shape")
-    w = u + v
-    try:
-        # inv_sqrt_psd rejects NaN or Inf in w, or a Gram matrix that overflows
-        b = inv_sqrt_psd(w.swapaxes(-1, -2) @ w)
-    except SingularityError as err:
-        raise SingularityError("u + v is rank deficient; retraction undefined") from err
-    return w @ b
-
-
 def _orthonormalize(x: np.ndarray) -> np.ndarray:
     # the q of sign_fixed_qr(x) by one Cholesky QR under the shared rank rule.
     # Its round-off grows as cond(x)^2.  A loop step is orthogonal to the
@@ -67,25 +49,9 @@ def _orthonormalize(x: np.ndarray) -> np.ndarray:
     return x @ _inv_cholesky(x.swapaxes(-1, -2) @ x).swapaxes(-1, -2)
 
 
-def perpca_gradient(u_g, u_l, s) -> np.ndarray:
-    """Projected covariance directions (I - u_g u_g^T - u_l u_l^T) S [u_g u_l].
-
-    Assumes u_g and u_l are orthonormal and mutually orthogonal; the first
-    r1 columns drive the shared basis, the rest the local one.  Any argument
-    may be a stack (..., n, r); leading axes broadcast.
-    """
-    u_g = as_stack(u_g)
-    u_l = as_stack(u_l)
-    s = as_stack(s)
-    lead = np.broadcast_shapes(u_g.shape[:-2], u_l.shape[:-2], s.shape[:-2])
-    u_l = np.broadcast_to(u_l, lead + u_l.shape[-2:])
-    joint = np.concatenate((np.broadcast_to(u_g, lead + u_g.shape[-2:]), u_l), axis=-1)
-    return _gradient(joint, s @ joint)
-
-
 def _gradient(joint: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    # perpca_gradient without its input checks, from the orthonormal
-    # [u_g u_l] and the product S [u_g u_l]
+    # the projected covariance directions (I - U U^T) S U, from the orthonormal
+    # U = [u_g u_l] and S U; the first r1 columns drive the shared basis
     return stacked - joint @ (joint.swapaxes(-1, -2) @ stacked)
 
 

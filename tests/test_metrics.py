@@ -68,6 +68,26 @@ def test_recovery_errors_source_count_mismatch():
         recovery_errors(est, short, gt)
 
 
+def test_recovery_errors_reject_a_sparse_part_that_would_broadcast():
+    # a (1, n2) row broadcasts against the (n1, n2) truth and used to be
+    # scored as if it were the whole sparse part
+    gt, est, s_hat = gt_and_exact_estimate()
+    rows = [s.copy() for s in s_hat.s]
+    rows[1] = rows[1][:1]
+    with pytest.raises(DimensionError, match="sparse parts do not match the ground truth shapes"):
+        recovery_errors(est, SparseEstimate.from_matrices(rows), gt)
+
+
+def test_recovery_errors_reject_factors_of_the_wrong_width():
+    # source 2's coefficient factors lack a row, so its products are one
+    # column short of the truth: a typed error, not numpy's ValueError
+    gt, est, s_hat = gt_and_exact_estimate()
+    short = FactorEstimate(u_g=est.u_g, v_g=[est.v_g[0], est.v_g[1][:-1], est.v_g[2]], u_l=est.u_l,
+                           v_l=[est.v_l[0], est.v_l[1][:-1], est.v_l[2]])
+    with pytest.raises(DimensionError, match="estimates vs the ground truth"):
+        recovery_errors(short, s_hat, gt)
+
+
 def test_recovery_errors_permutation_invariant():
     gt, est, s_hat = gt_and_exact_estimate()
     rng = np.random.default_rng(0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tcmf import FactorEstimate, ThinSVD, inv_sqrt_psd, projection_onto, truncated_svd
+from tcmf import FactorEstimate, ThinSVD, projection_onto, truncated_svd
 from tcmf.errors import ContractViolationError, DimensionError, SingularityError
 from tcmf import hmf_correct, perpca
 from tcmf.numerics import _inv_cholesky, as_matrix, linf, sign_fixed_qr, top_eigenvectors
@@ -148,61 +148,6 @@ def test_projection_rank_deficient_rejected():
     u = np.ones((4, 2))  # two identical columns
     with pytest.raises(SingularityError):
         projection_onto(u)
-
-
-def test_inv_sqrt_psd_identity_and_diagonal():
-    assert np.allclose(inv_sqrt_psd(np.eye(3)), np.eye(3))
-    out = inv_sqrt_psd(np.diag([4.0, 9.0]))
-    assert np.allclose(out, np.diag([0.5, 1.0 / 3.0]))
-
-
-def test_inv_sqrt_psd_random_spd():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 4))
-    spd = a.T @ a + 0.1 * np.eye(4)
-    b = inv_sqrt_psd(spd)
-    assert np.allclose(b @ spd @ b, np.eye(4), atol=1e-8)
-    assert linf(b @ spd - spd @ b) < 1e-8
-    assert np.allclose(b, b.T, atol=1e-10)
-
-
-def test_inv_sqrt_psd_rejects_bad_input():
-    with pytest.raises(ContractViolationError):
-        inv_sqrt_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(SingularityError):
-        inv_sqrt_psd(np.zeros((2, 2)))
-
-
-def spd_stack(rng, count, n):
-    a = rng.standard_normal((count, n, n))
-    return a.swapaxes(-1, -2) @ a + 0.1 * np.eye(n)
-
-
-def test_inv_sqrt_psd_stack_matches_slices_bitwise():
-    stack = spd_stack(np.random.default_rng(6), 5, 4)
-    out = inv_sqrt_psd(stack)
-    assert out.shape == stack.shape
-    for got, a in zip(out, stack):
-        assert np.array_equal(got, inv_sqrt_psd(a))
-
-
-def test_inv_sqrt_psd_stack_checks_every_slice():
-    rng = np.random.default_rng(7)
-    stack = spd_stack(rng, 4, 3)
-    singular = stack.copy()
-    singular[2] = np.diag([1.0, 1.0, 0.0])
-    with pytest.raises(SingularityError):
-        inv_sqrt_psd(singular)
-    asymmetric = stack.copy()
-    asymmetric[3, 0, 1] += 1e-3
-    with pytest.raises(ContractViolationError):
-        inv_sqrt_psd(asymmetric)
-    with pytest.raises(ContractViolationError):
-        inv_sqrt_psd(np.where(np.arange(4)[:, None, None] == 1, np.nan, stack))
-
-
-def test_inv_sqrt_psd_empty_stack_slices():
-    assert inv_sqrt_psd(np.zeros((3, 0, 0))).shape == (3, 0, 0)
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])

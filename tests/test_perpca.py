@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from tcmf import (
-    ObservationSet,
-    PerpcaParams,
-    generalized_retraction,
-    perpca_gradient,
-    perpca_solve,
-    renormalize,
-    spectral_init,
-)
-from tcmf.errors import ConfigurationError, ContractViolationError, DimensionError, DivergenceError, SingularityError
+from tcmf import ObservationSet, PerpcaParams, perpca_solve, renormalize, spectral_init
+from tcmf.errors import ConfigurationError, ContractViolationError, DivergenceError, SingularityError
 from tcmf import perpca
 from tcmf.numerics import PSD_MIN_EIG, linf, sign_fixed_qr
 from tcmf.perpca import _lambda_max
@@ -31,41 +23,17 @@ def test_params_validation():
             PerpcaParams(step_size=bad)
 
 
-def test_retraction_identity_on_orthonormal():
-    rng = np.random.default_rng(0)
-    u = orth(rng.standard_normal((7, 3)))
-    out = generalized_retraction(u, np.zeros_like(u))
-    assert np.allclose(out, u, atol=1e-12)
-
-
-def test_retraction_replaces_basis():
-    e1 = np.array([[1.0], [0.0]])
-    e2 = np.array([[0.0], [1.0]])
-    out = generalized_retraction(e1, e2 - e1)
-    assert np.allclose(out, e2, atol=1e-12)
-
-
-def test_retraction_output_orthonormal():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        u = rng.standard_normal((8, 3))
-        v = rng.standard_normal((8, 3))
-        out = generalized_retraction(u, v)
-        assert linf(out.T @ out - np.eye(3)) < 1e-8
-
-
-def test_retraction_errors():
-    with pytest.raises(DimensionError):
-        generalized_retraction(np.eye(3), np.eye(2))
-    u = np.ones((4, 2))
-    with pytest.raises(SingularityError):
-        generalized_retraction(u, -u)
+def _gradient(u_g, u_l, s):
+    # perpca._gradient at the joint basis [u_g u_l]; u_g is shared by every
+    # slice of a stack u_l, and s is a matrix or a stack
+    joint = np.concatenate((np.broadcast_to(u_g, u_l.shape[:-1] + u_g.shape[-1:]), u_l), axis=-1)
+    return perpca._gradient(joint, s @ joint)
 
 
 def test_gradient_zero_when_bases_span_data(tiny):
     est = tiny.exact_estimate()
     s = tiny.mats[0] @ tiny.mats[0].T
-    g = perpca_gradient(est.u_g, est.u_l[0], s)
+    g = _gradient(est.u_g, est.u_l[0], s)
     assert linf(g) < 1e-10
 
 
@@ -73,7 +41,7 @@ def test_gradient_zero_on_zero_data():
     rng = np.random.default_rng(2)
     u_g = orth(rng.standard_normal((6, 2)))
     u_l = orth(rng.standard_normal((6, 1)) - u_g @ (u_g.T @ rng.standard_normal((6, 1))))
-    g = perpca_gradient(u_g, u_l, np.zeros((6, 6)))
+    g = _gradient(u_g, u_l, np.zeros((6, 6)))
     assert linf(g) == 0.0
 
 
@@ -83,7 +51,7 @@ def test_gradient_lives_in_orthogonal_complement(tiny):
     raw = rng.standard_normal((10, 2))
     u_l = orth(raw - u_g @ (u_g.T @ raw))
     s = tiny.mats[0] @ tiny.mats[0].T
-    g = perpca_gradient(u_g, u_l, s)
+    g = _gradient(u_g, u_l, s)
     joint = np.hstack((u_g, u_l))
     p = joint @ joint.T
     assert linf(g - (np.eye(10) - p) @ g) < 1e-8
@@ -173,70 +141,20 @@ def test_solve_rejects_non_finite_loop_inputs(tiny):
             perpca_solve(huge, PerpcaParams(iterations=0), warm_start=tiny.exact_estimate())
 
 
-def test_retraction_stack_matches_slices_bitwise():
-    rng = np.random.default_rng(4)
-    u = rng.standard_normal((5, 8, 3))
-    v = rng.standard_normal((5, 8, 3))
-    out = generalized_retraction(u, v)
-    assert out.shape == u.shape
-    for i in range(5):
-        assert np.array_equal(out[i], generalized_retraction(u[i], v[i]))
-
-
-def test_retraction_stack_checks_every_slice():
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal((4, 6, 2))
-    v = np.zeros_like(u)
-    v[1] = -u[1]  # u + v vanishes in one slice only
-    with pytest.raises(SingularityError):
-        generalized_retraction(u, v)
-    v = np.zeros_like(u)
-    v[3, 0, 0] = np.inf
-    with pytest.raises(ContractViolationError):
-        generalized_retraction(u, v)
-    nan_u = u.copy()
-    nan_u[2, 4, 1] = np.nan
-    with pytest.raises(ContractViolationError):
-        generalized_retraction(nan_u, np.zeros_like(u))
-    # finite entries whose Gram matrix overflows to Inf
-    huge_u = u.copy()
-    huge_u[0] *= 1e200
-    with np.errstate(over="ignore"), pytest.raises(ContractViolationError):
-        generalized_retraction(huge_u, np.zeros_like(u))
-    with pytest.raises(DimensionError):
-        generalized_retraction(u, v[:3])
-
-
-def test_gradient_rejects_non_finite_and_non_matrix_input(tiny):
-    u_g = tiny.exact_estimate().u_g
-    u_l = orth(np.random.default_rng(7).standard_normal((10, 2)))
-    cov = tiny.mats[0] @ tiny.mats[0].T
-    for k in range(3):
-        args = [u_g, u_l, cov]
-        bad = args[k].copy()
-        bad[1, 0] = np.nan
-        args[k] = bad
-        with pytest.raises(ContractViolationError):
-            perpca_gradient(*args)
-        args[k] = bad[:, 0]
-        with pytest.raises(DimensionError):
-            perpca_gradient(*args)
-
-
 def test_gradient_stack_matches_slices_bitwise(tiny):
     est = tiny.exact_estimate()
     rng = np.random.default_rng(6)
     u_l = np.stack([orth(rng.standard_normal((10, 2))) for _ in range(3)])
     covs = np.stack([m @ m.T for m in tiny.mats])
-    out = perpca_gradient(est.u_g, u_l, covs)
+    out = _gradient(est.u_g, u_l, covs)
     assert out.shape == (3, 10, 4)
     for i in range(3):
-        assert np.array_equal(out[i], perpca_gradient(est.u_g, u_l[i], covs[i]))
+        assert np.array_equal(out[i], _gradient(est.u_g, u_l[i], covs[i]))
 
 
 def test_solve_matches_per_source_reference(uneven):
     # the loop over sources the solver replaced, one source at a time: each
-    # joint basis [u_g u_l[i]] steps along the public perpca_gradient, the
+    # joint basis [u_g u_l[i]] steps along its own perpca._gradient, the
     # shared columns become their average accumulated in source order, and
     # every slice takes its own Cholesky QR under the rank rule; the
     # arithmetic is the same, so bits must match
@@ -257,7 +175,7 @@ def test_solve_matches_per_source_reference(uneven):
     eta = params.step_size / max(_lambda_max(c) for c in covs)
     assert len(seen) == 5
     for got_g, got_l in seen:
-        steps = [j + eta * perpca_gradient(j[:, :2], j[:, 2:], c) for j, c in zip(joints, covs)]
+        steps = [j + eta * perpca._gradient(j, c @ j) for j, c in zip(joints, covs)]
         acc = np.zeros_like(start.u_g)
         for x in steps:
             acc += x[:, :2]
@@ -285,6 +203,13 @@ def _recorded_solve(monkeypatch, obs, params):
     return recorded, bases
 
 
+def _polar(u, v):
+    # the generalized polar retraction (u + v) ((u + v)^T (u + v))^{-1/2}, slice by slice
+    w = u + v
+    lam, q = np.linalg.eigh(w.swapaxes(-1, -2) @ w)
+    return w @ (q / np.sqrt(lam)[..., None, :]) @ q.swapaxes(-1, -2)
+
+
 @pytest.mark.parametrize("instance,r1,r2", [
     ("tiny", 2, 2), ("uneven", 2, 2), ("tiny", 0, 2), ("tiny", 2, 0), ("uneven", 2, 1),
 ])
@@ -304,11 +229,11 @@ def test_solve_tracks_the_polar_retraction_subspaces(request, monkeypatch, insta
     total = np.trace(covs, axis1=-2, axis2=-1).sum()
     assert len(recorded) == len(bases) == 50
     for obj, (got_g, got_l) in zip(recorded, bases):
-        grad = perpca_gradient(u_g, u_l, covs)
+        grad = _gradient(u_g, u_l, covs)
         cand = u_g + eta * grad[..., :r1]
-        u_l = generalized_retraction(u_l, eta * grad[..., r1:])
-        u_g = generalized_retraction(u_g, cand.mean(axis=0) - u_g)
-        u_l = generalized_retraction(u_l, -u_g @ (u_g.T @ u_l))
+        u_l = _polar(u_l, eta * grad[..., r1:])
+        u_g = _polar(u_g, cand.mean(axis=0) - u_g)
+        u_l = _polar(u_l, -u_g @ (u_g.T @ u_l))
         want = total - np.sum(u_g * (covs @ u_g)) - np.sum(u_l * (covs @ u_l))
         assert linf(got_g @ got_g.T - u_g @ u_g.T) < 1e-10
         for a, b in zip(got_l, u_l):
