@@ -25,6 +25,7 @@ from .model import (
     GroundTruth,
     IdentifiabilityReport,
     ObservationSet,
+    SparseParts,
     SynthConfig,
     assemble_observations,
     generate,
@@ -62,6 +63,7 @@ __all__ = [
     "RecoveryErrors",
     "SingularityError",
     "SparseEstimate",
+    "SparseParts",
     "SynthConfig",
     "TcmfConfig",
     "TcmfError",

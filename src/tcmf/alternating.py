@@ -8,8 +8,9 @@ Epoch t (estimates start at zero):
 
 The noise is sparse, so an epoch holds each s_hat[i] as its support: the
 flat indices and values of the entries above lambda_t.  Beside the data, the
-solve then holds one data-sized stack, the cleaned {M_i - s_hat[i]}; the
-dense s_hat is built after the solve, and only where it is read.
+solve then holds one data-sized stack, the cleaned {M_i - s_hat[i]}.  No
+dense s_hat is built: the SparseEstimate holds the supports, and scoring
+reads them as they are.
 """
 
 import time
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError
 from .jimf import solve
 from .metrics import recovery_errors
-from .model import FactorEstimate, GroundTruth, ObservationSet
+from .model import FactorEstimate, GroundTruth, ObservationSet, SparseParts
 from .numerics import as_matrix, truncated_svd
 from .thresholding import LambdaSchedule, SparseEstimate, _threshold, next_lambda
 
@@ -60,11 +61,15 @@ class EpochTrace:
     wall_ms: float
 
 
-def _support_violations(s_hat: SparseEstimate, true_support: list) -> int:
-    # entries claimed by the estimate outside the true support: all it claims
-    # less those it claims at the flat indices true_support[i] of gt.s[i]
-    kept_on_support = sum(int(np.count_nonzero(s.ravel()[idx])) for s, idx in zip(s_hat.s, true_support))
-    return sum(s_hat.support_sizes) - kept_on_support
+def _support_violations(s_hat: SparseEstimate, truth: SparseParts) -> int:
+    # entries claimed by the estimate outside the true support: each
+    # estimated index absent from the truth's sorted, distinct indices, so
+    # that its left and right insertion points there coincide
+    violations = 0
+    for idx, true_idx in zip(s_hat.s.indices, truth.indices):
+        found = np.searchsorted(true_idx, idx, side="right") - np.searchsorted(true_idx, idx)
+        violations += idx.size - int(found.sum())
+    return violations
 
 
 def _split(m: np.ndarray, r: np.ndarray, lam: float):
@@ -80,15 +85,11 @@ def _split(m: np.ndarray, r: np.ndarray, lam: float):
     return cleaned, (idx, vals)
 
 
-def _dense(mats: list, supports: list) -> SparseEstimate:
-    # the sparse part _threshold gives: each support's values in a matrix of
-    # its source's shape, +0.0 off the support
-    dense = []
-    for m, (idx, vals) in zip(mats, supports):
-        s = np.zeros(m.shape)
-        np.put(s, idx, vals)
-        dense.append(s)
-    return SparseEstimate(s=dense)
+def _estimate(mats: list, supports: list) -> SparseEstimate:
+    # the sparse part _threshold gives, held as the supports _split took,
+    # each in its source's shape: no dense matrix is built
+    idx, vals = zip(*supports)
+    return SparseEstimate(s=SparseParts(tuple(m.shape for m in mats), idx, vals))
 
 
 def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
@@ -100,15 +101,14 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     to the raised error.
 
     Each epoch holds its sparse part as its support (flat indices and values
-    per source) beside the cleaned data.  The dense SparseEstimate is built
-    after the solve, once the cleaned data is dropped, and only where it is
-    read: every epoch with ground truth, for scoring, and once after the
-    last epoch without it.
+    per source) beside the cleaned data.  The SparseEstimate holds those
+    supports; it is built where it is read: every epoch with ground truth,
+    for scoring, and once after the last epoch without it.  No dense sparse
+    part is built; reading s_hat.s[i] builds one.
     """
     est: FactorEstimate | None = None
     traces: list[EpochTrace] = []
     lam = cfg.schedule.lambda1
-    true_support = None if gt is None else [np.flatnonzero(s) for s in gt.s]
     try:
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
@@ -118,20 +118,20 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
             if cfg.warm_start_policy != "carry_forward":
                 est = None  # spent: a fresh start reads only the cleaned data
             est = solve(ObservationSet(matrices=cleaned, r1=obs.r1, r2=obs.r2), cfg.params, est)
-            del cleaned  # spent: the dense sparse part and the metrics' temporaries take its room
+            del cleaned  # spent: the metrics' work arrays take its room
             wall_ms = (time.perf_counter() - t0) * 1e3
             errors = {}
             if gt is not None:
-                s_hat = _dense(obs.matrices, supports)
+                s_hat = _estimate(obs.matrices, supports)
                 errors = asdict(recovery_errors(est, s_hat, gt))
-                errors["support_violations"] = _support_violations(s_hat, true_support)
+                errors["support_violations"] = _support_violations(s_hat, gt.s)
             traces.append(EpochTrace(epoch=epoch, lam=lam, wall_ms=wall_ms, **errors))
             lam = next_lambda(cfg.schedule, lam)
     except DivergenceError as err:
         err.epoch_traces = traces
         raise
     if s_hat is None:  # no ground truth: the last epoch's, built once for the caller
-        s_hat = _dense(obs.matrices, supports)
+        s_hat = _estimate(obs.matrices, supports)
     return est, s_hat, traces
 
 

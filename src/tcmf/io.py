@@ -19,7 +19,7 @@ from .alternating import WARM_START_POLICIES, EpochTrace
 from .errors import ConfigurationError, CorruptDataError, DimensionError, MissingInputError
 from .hmf import HmfParams
 from .jimf import BACKENDS
-from .model import FactorEstimate, GroundTruth, IdentifiabilityReport, ObservationSet, SynthConfig
+from .model import FactorEstimate, GroundTruth, IdentifiabilityReport, ObservationSet, SparseParts, SynthConfig
 from .numerics import as_matrix
 from .perpca import PerpcaParams
 from .thresholding import LAMBDA1_MODES, SparseEstimate
@@ -39,15 +39,16 @@ def format_fields(record) -> str:
     return "".join(f"{f.name}={getattr(record, f.name)!r}\n" for f in fields(record))
 
 
-def atomic_write(path, payload: bytes):
-    """Write payload to path through a temp file plus rename, creating the
-    directory first."""
+def atomic_write(path, *payloads):
+    """Write the payloads (bytes or contiguous buffers), one after another,
+    to path through a temp file plus rename, creating the directory first."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for payload in payloads:
+                fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,10 +57,11 @@ def atomic_write(path, payload: bytes):
 
 
 def write_matrix(path, m):
+    """Write m as a matrix file: the header, then the row-major <f8 buffer
+    itself, copied only when m is not already laid out that way."""
     m = as_matrix(m)
     header = _HEADER.pack(MAGIC, m.shape[0], m.shape[1])
-    payload = np.ascontiguousarray(m, dtype="<f8").tobytes()
-    atomic_write(path, header + payload)
+    atomic_write(path, header, np.ascontiguousarray(m, dtype="<f8").reshape(-1).view(np.uint8))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -183,7 +185,8 @@ _SOURCE_STEMS = ("V_G", "U_L", "V_L", "S")
 _EST_PREFIX = "EST_"
 
 
-def _write_factors(directory: Path, prefix: str, factors, s):
+def _write_factors(directory: Path, prefix: str, factors, s: SparseParts):
+    # iterating s builds one dense S_i at a time, written and then dropped
     write_matrix(directory / f"{prefix}{_SHARED}", factors.u_g)
     for i, mats in enumerate(zip(factors.v_g, factors.u_l, factors.v_l, s), start=1):
         for stem, m in zip(_SOURCE_STEMS, mats):
@@ -191,13 +194,15 @@ def _write_factors(directory: Path, prefix: str, factors, s):
 
 
 def _read_factors(directory: Path, prefix: str, n_sources: int):
-    """(u_g, v_g, u_l, v_l, s) as written by _write_factors."""
+    """(u_g, v_g, u_l, v_l, s) as written by _write_factors, with s as
+    SparseParts: each S_i is converted as soon as it is read, so at most
+    one dense S_i is held."""
     u_g = read_matrix(directory / f"{prefix}{_SHARED}")
-    per_stem = (
-        [read_matrix(directory / f"{prefix}{stem}_{i}.mat") for i in range(1, n_sources + 1)]
+    v_g, u_l, v_l, s = (
+        map(read_matrix, [directory / f"{prefix}{stem}_{i}.mat" for i in range(1, n_sources + 1)])
         for stem in _SOURCE_STEMS
     )
-    return (u_g, *per_stem)
+    return u_g, list(v_g), list(u_l), list(v_l), SparseParts.from_dense(s)
 
 
 def save_dataset(directory, gt: GroundTruth, obs: ObservationSet, report: IdentifiabilityReport):
@@ -245,7 +250,7 @@ def load_estimates(directory, n_sources: int):
     directory = Path(directory) / ESTIMATES_DIR
     u_g, v_g, u_l, v_l, s = _read_factors(directory, _EST_PREFIX, n_sources)
     est = FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)
-    return est, SparseEstimate.from_matrices(s)
+    return est, SparseEstimate(s=s)  # read_matrix checked every S_i
 
 
 # trace CSV --------------------------------------------------------------

@@ -42,13 +42,16 @@ def recovery_errors(est: FactorEstimate, s_hat: SparseEstimate, gt: GroundTruth)
     n = gt.n_sources
     if est.n_sources != n or len(s_hat.s) != n:
         raise DimensionError("estimate, sparse part and ground truth disagree on source count")
-    shapes = [np.shape(s) for s in gt.s]
+    shapes = list(gt.s.shapes)
     est.check_fits(shapes, "estimates vs the ground truth")
-    if [np.shape(s) for s in s_hat.s] != shapes:
+    if list(s_hat.s.shapes) != shapes:
         raise DimensionError(f"estimated sparse parts do not match the ground truth shapes {shapes}")
     # Two work arrays sized to the largest source.  Each source's differences
     # are taken in C-contiguous views of its shape, so np.sum adds them in the
     # order it would a fresh array's and every bit is the plain formula's.
+    # The sparse difference is built from the two supports: the estimate's
+    # values put into zeros, then the truth's subtracted in place at its
+    # indices, the same subtraction, entry by entry, as of the dense parts.
     size = max(math.prod(shape) for shape in shapes)
     work = np.empty(size), np.empty(size)
     linf_g = linf_l = linf_s = 0.0
@@ -61,7 +64,10 @@ def recovery_errors(est: FactorEstimate, s_hat: SparseEstimate, gt: GroundTruth)
         np.subtract(np.matmul(est.u_l[i], est.v_l[i].T, out=a), np.matmul(gt.u_l[i], gt.v_l[i].T, out=b), out=a)
         top, sq = _max_and_squares(a, b)
         linf_l, sq_l = linf_l + top, sq_l + sq
-        top, sq = _max_and_squares(np.subtract(s_hat.s[i], gt.s[i], out=a), b)
+        a.fill(0.0)
+        a.put(s_hat.s.indices[i], s_hat.s.values[i])
+        np.subtract.at(a.reshape(-1), gt.s.indices[i], gt.s.values[i])
+        top, sq = _max_and_squares(a, b)
         linf_s, sq_s = linf_s + top, sq_s + sq
     return RecoveryErrors(
         linf_g=linf_g / n,

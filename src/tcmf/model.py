@@ -3,7 +3,8 @@ diagnostics.
 
 The data model: each observation M_i is the sum of a shared low-rank part
 u_g v_g[i]^T, a source-specific low-rank part u_l[i] v_l[i]^T with
-u_g^T u_l[i] = 0, and a sparse noise matrix s[i].
+u_g^T u_l[i] = 0, and a sparse noise matrix s[i], held as its support
+(SparseParts).
 """
 
 from dataclasses import dataclass
@@ -44,6 +45,61 @@ class SynthConfig:
             raise ConfigurationError("noise_magnitude must be positive")
         if self.seed < 0:
             raise ConfigurationError("seed must be nonnegative")
+
+
+@dataclass(frozen=True, eq=False)
+class SparseParts:
+    """Per-source sparse matrices held as their supports: each source's
+    shape, the sorted C-order flat indices of its nonzero entries and their
+    float64 values.  s[i] and iteration build a new dense C-ordered matrix
+    on each read, +0.0 off the support: bit for bit the matrix the parts
+    were built from, except that a -0.0 entry, being zero, reads back as
+    +0.0.  A slice gives the parts of those sources."""
+
+    shapes: tuple
+    indices: tuple
+    values: tuple
+
+    def __post_init__(self):
+        if not len(self.shapes) == len(self.indices) == len(self.values):
+            raise DimensionError("need one shape, index array and value array per source")
+
+    @classmethod
+    def from_dense(cls, mats) -> "SparseParts":
+        """The parts of an iterable of matrices, converted one at a time, so
+        a generator of them never holds two dense matrices at once."""
+        shapes, indices, values = [], [], []
+        for m in mats:
+            m = np.asarray(m, dtype=np.float64)
+            if m.ndim != 2:
+                raise DimensionError(f"a sparse part must be a matrix, got ndim={m.ndim}")
+            idx = np.flatnonzero(m != 0.0)
+            shapes.append(m.shape)
+            indices.append(idx)
+            values.append(m.take(idx))
+        return cls(tuple(shapes), tuple(indices), tuple(values))
+
+    @classmethod
+    def of(cls, s) -> "SparseParts":
+        """s itself if it is already in support form, else from_dense(s)."""
+        return s if isinstance(s, cls) else cls.from_dense(s)
+
+    def __len__(self) -> int:
+        return len(self.shapes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SparseParts(self.shapes[i], self.indices[i], self.values[i])
+        m = np.zeros(self.shapes[i])
+        m.put(self.indices[i], self.values[i])
+        return m
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def support_sizes(self) -> list:
+        return [idx.size for idx in self.indices]
 
 
 @dataclass(frozen=True)
@@ -113,13 +169,16 @@ class FactorEstimate:
 
 @dataclass(frozen=True)
 class GroundTruth(FactorEstimate):
-    """True factors plus the sparse noise s[i] of every source."""
+    """True factors plus the sparse noise s[i] of every source, held as
+    SparseParts and converted once on construction (a list of matrices is
+    accepted); s[i] builds a new dense matrix on each read."""
 
-    s: list
+    s: SparseParts
 
     def __post_init__(self):
         super().__post_init__()
-        self.check_fits([np.shape(si) for si in self.s], "ground truth vs its sparse noise")
+        object.__setattr__(self, "s", SparseParts.of(self.s))
+        self.check_fits(list(self.s.shapes), "ground truth vs its sparse noise")
 
 
 @dataclass(frozen=True)
@@ -210,10 +269,16 @@ def measure_sparsity(s) -> float:
     """Smallest alpha such that every column of s has at most alpha*n1 nonzero
     entries and every row at most alpha*n2."""
     s = as_matrix(s)
-    n1, n2 = s.shape
-    nz = s != 0.0
-    col_frac = float(nz.sum(axis=0).max(initial=0)) / n1
-    row_frac = float(nz.sum(axis=1).max(initial=0)) / n2
+    return _sparsity(s.shape, np.flatnonzero(s != 0.0))
+
+
+def _sparsity(shape: tuple, idx: np.ndarray) -> float:
+    # measure_sparsity of the matrix of this shape whose nonzero entries sit
+    # at the C-order flat indices idx, counted per row and column
+    n1, n2 = shape
+    rows, cols = np.divmod(idx, n2)
+    col_frac = float(np.bincount(cols).max(initial=0)) / n1
+    row_frac = float(np.bincount(rows).max(initial=0)) / n2
     return max(col_frac, row_frac)
 
 
@@ -254,7 +319,7 @@ def identifiability_report(gt: GroundTruth) -> IdentifiabilityReport:
     its singular triplets are those of the core R_u R_v^T, with the vectors
     mapped back through Q_u and Q_v.
     """
-    alpha = max((measure_sparsity(si) for si in gt.s), default=0.0)
+    alpha = max(map(_sparsity, gt.s.shapes, gt.s.indices), default=0.0)
     mus = []
     sigmas = []
     qr_g = np.linalg.qr(gt.u_g)

@@ -15,6 +15,7 @@ from tcmf import (
     ObservationSet,
     PerpcaParams,
     SparseEstimate,
+    SparseParts,
     SynthConfig,
     TcmfConfig,
     assemble_observations,
@@ -118,7 +119,9 @@ def test_run_records_metrics_with_ground_truth():
 def test_run_scores_every_epoch_through_the_module_binding(monkeypatch):
     # the benchmark's tracer wraps recovery_errors where alternating binds it;
     # its metrics.recovery_errors.* and thresholding.kept_on_support_frac read
-    # a constant zero if run stops calling that name
+    # a constant zero if run stops calling that name.  Its hook reads s_hat
+    # as the second positional argument and sums s_hat.support_sizes, which
+    # must count the nonzero entries of each epoch's dense sparse part
     gt = generate(SynthConfig(n_sources=3, n1=10, n2=24, r1=2, r2=2,
                               noise_prob=0.03, noise_magnitude=40.0, seed=5))
     obs = assemble_observations(gt)
@@ -127,14 +130,18 @@ def test_run_scores_every_epoch_through_the_module_binding(monkeypatch):
     calls = []
     real = alternating.recovery_errors
 
-    def counting(est, s_hat, truth):
-        calls.append((s_hat, truth))
-        return real(est, s_hat, truth)
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(alternating, "recovery_errors", counting)
     _, s_hat, _ = run(obs, cfg, gt)
     assert len(calls) == cfg.epochs
-    assert calls[-1][0] is s_hat and all(truth is gt for _, truth in calls)
+    assert all(len(args) == 3 and kwargs == {} and args[2] is gt for args, kwargs in calls)
+    assert calls[-1][0][1] is s_hat
+    for args, _ in calls:
+        assert args[1].support_sizes == [int(np.count_nonzero(s)) for s in args[1].s]
+    assert sum(s_hat.support_sizes) > 0
     calls.clear()
     run(obs, cfg)
     assert calls == []
@@ -162,9 +169,10 @@ def sparse_pairs(draw):
 @given(sparse_pairs())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_support_violations_read_on_the_true_support_count_the_dense_mask(pair):
+    # counted on the two supports alone, the estimate's and the truth's
     true_s, s_hat = pair
     dense = sum(int(np.count_nonzero((e != 0.0) & (t == 0.0))) for e, t in zip(s_hat.s, true_s))
-    assert alternating._support_violations(s_hat, [np.flatnonzero(t) for t in true_s]) == dense
+    assert alternating._support_violations(s_hat, SparseParts.from_dense(true_s)) == dense
 
 
 def test_run_fresh_spectral_policy(tiny):
@@ -282,11 +290,11 @@ def _traced_peak_over_data(obs, cfg, gt):
 @pytest.mark.parametrize("policy", ["fresh_spectral", "carry_forward"])
 def test_run_holds_one_epochs_stacks_at_a_time(policy):
     # beside the data and the truth, an epoch needs its cleaned data through
-    # the solve, then its dense sparse part and two scoring work arrays of
-    # one source each: about 1.74 data-sizes here, where a source is a
-    # quarter of the data.  A loop that holds the dense sparse part through
-    # the solve peaks at about 2.6; one that keeps the last epoch's stacks
-    # and a list of reconstructions, at 4.5 or more
+    # the solve, then two scoring work arrays of one source each: about 1.5
+    # data-sizes here, where a source is a quarter of the data.  A loop that
+    # builds a dense sparse part to score it peaks at about 1.74; one that
+    # holds it through the solve, at about 2.6; one that keeps the last
+    # epoch's stacks and a list of reconstructions, at 4.5 or more
     gt, obs, lam1 = _wide_instance()
     cfg = tiny_cfg(lam1, epochs=3, rho=0.9, params=PerpcaParams(step_size=0.1, iterations=5),
                    warm_start_policy=policy)
@@ -297,9 +305,9 @@ def test_run_holds_one_epochs_stacks_at_a_time(policy):
 @pytest.mark.parametrize("policy", ["fresh_spectral", "carry_forward"])
 def test_run_holds_one_data_sized_stack_beside_the_data(policy, with_truth):
     # an epoch holds its sparse part as its support, so its solve holds one
-    # data-sized stack, the cleaned data, and the dense part is built after
-    # it: about 1.5 data-sizes on these ten small sources.  A loop that holds
-    # the dense sparse part beside the cleaned data reads 2.66 or more
+    # data-sized stack, the cleaned data, and no dense part is built: about
+    # 1.5 data-sizes on these ten small sources.  A loop that holds the
+    # dense sparse part beside the cleaned data reads 2.66 or more
     gt = generate(SynthConfig(n_sources=10, n1=20, n2=800, r1=2, r2=2,
                               noise_prob=0.01, noise_magnitude=100.0, seed=3))
     obs = assemble_observations(gt)
@@ -317,7 +325,8 @@ def _with_signed_zeros(a, rng):
 
 
 def test_support_form_gives_the_dense_threshold_bit_for_bit(uneven):
-    # _split's cleaned matrix and _dense's sparse part against the dense
+    # _split's cleaned matrix, and the sparse part of the estimate _estimate
+    # builds from its support, read back dense, against the dense
     # m - _threshold(r, lam) and _threshold(r, lam): values, signed zeros and
     # the memory layout the solve's Gram stack reads
     rng = np.random.default_rng(11)
@@ -337,7 +346,7 @@ def test_support_form_gives_the_dense_threshold_bit_for_bit(uneven):
     for m, r, lam in cases:
         cleaned, support = alternating._split(m, r, lam)
         sizes.append(support[0].size)
-        s = alternating._dense([m], [support]).s[0]
+        s = alternating._estimate([m], [support]).s[0]
         want_s = _threshold(r, lam)
         want_cleaned = m - want_s
         for got, want in ((s, want_s), (cleaned, want_cleaned)):
@@ -349,8 +358,10 @@ def test_support_form_gives_the_dense_threshold_bit_for_bit(uneven):
 
 @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no_truth"])
 def test_run_builds_the_dense_sparse_part_only_where_it_is_read(monkeypatch, with_truth):
-    # scoring reads the dense part every epoch; without ground truth only
-    # the returned one is built.  wall_ms still spans thresholding and solve
+    # scoring reads the sparse estimate every epoch; without ground truth
+    # only the returned one is built.  Neither run nor its scoring reads a
+    # dense sparse part: only the caller does, from the returned supports.
+    # wall_ms still spans thresholding and solve
     gt = generate(SynthConfig(n_sources=3, n1=10, n2=24, r1=2, r2=2,
                               noise_prob=0.03, noise_magnitude=40.0, seed=5))
     obs = assemble_observations(gt)
@@ -372,10 +383,19 @@ def test_run_builds_the_dense_sparse_part_only_where_it_is_read(monkeypatch, wit
         solves.append((problem, est, time.perf_counter()))
         return est
 
+    dense_reads = []
+    read = SparseParts.__getitem__
+
+    def counting_read(parts, i):
+        dense_reads.append(i)
+        return read(parts, i)
+
     monkeypatch.setattr(alternating, "SparseEstimate", counting_estimate)
     monkeypatch.setattr(alternating, "_split", timed_split)
     monkeypatch.setattr(alternating, "solve", timed_solve)
+    monkeypatch.setattr(SparseParts, "__getitem__", counting_read)
     _, s_hat, traces = run(obs, cfg, gt if with_truth else None)
+    assert dense_reads == []
     assert len(built) == (cfg.epochs if with_truth else 1)
     assert built[-1] is s_hat
     last_fit = solves[-2][1]

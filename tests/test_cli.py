@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface via main()."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,27 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--data", str(out),
                      "--out", str(t2)]) == EXIT_OK
         assert t1.read_bytes() == t2.read_bytes()
+
+    def test_run_with_ground_truth_holds_no_dense_sparse_part(self, tmp_path):
+        # tcmf run holds the data, the ground truth with its noise as
+        # supports, one cleaned stack and the solve's or the scoring's
+        # temporaries: about 2.5 data-sizes here.  Holding the truth's noise
+        # dense for the whole run and a dense sparse part each epoch adds
+        # about one data-size (3.5)
+        cfg, out = synth(tmp_path, n_sources="10", n1="50", n2="1000", r1="3", r2="3",
+                         noise_prob="0.01", noise_magnitude="100.0", backend="perpca",
+                         step_size="0.1", epochs="3", inner_iterations="20")
+        data_bytes = 10 * 50 * 1000 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rc = main(["run", "--config", str(cfg), "--data", str(out), "--out", str(tmp_path / "t.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_OK
+        assert (peak - before) / data_bytes <= 2.8
 
     def test_data_config_shape_mismatch_is_rejected(self, tmp_path):
         cfg, out = synth(tmp_path)

@@ -15,6 +15,8 @@ from tcmf import (
 )
 from tcmf.errors import ConfigurationError, CorruptDataError, MissingInputError
 from tcmf.io import (
+    _HEADER,
+    MAGIC,
     TRACE_HEADER,
     count_sources,
     format_trace_csv,
@@ -101,6 +103,19 @@ def test_read_matrix_rejects_nan_payload(tmp_path):
 def test_read_matrix_missing_file(tmp_path):
     with pytest.raises(MissingInputError):
         read_matrix(tmp_path / "absent.mat")
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided", "int", "empty"])
+def test_write_matrix_writes_the_header_then_the_row_major_payload(tmp_path, layout):
+    # the file is the header followed by the row-major <f8 bytes, written
+    # without joining them into one payload first
+    base = np.arange(48, dtype=np.float64).reshape(6, 8) - 20.5
+    base[0, 0], base[1, 1] = -0.0, 5e-324
+    m = {"c": base, "fortran": np.asfortranarray(base), "strided": base[::2, 1::3],
+         "int": np.arange(6).reshape(2, 3), "empty": np.zeros((0, 4))}[layout]
+    write_matrix(tmp_path / "m.mat", m)
+    want = _HEADER.pack(MAGIC, *m.shape) + np.ascontiguousarray(m, dtype="<f8").tobytes()
+    assert (tmp_path / "m.mat").read_bytes() == want
 
 
 def test_write_matrix_leaves_no_temp_files(tmp_path):

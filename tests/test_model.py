@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tcmf import (
     FactorEstimate,
     GroundTruth,
     ObservationSet,
+    SparseParts,
     SynthConfig,
     assemble_observations,
     generate,
@@ -328,3 +332,62 @@ def test_identifiability_report_single_source_theta_zero():
     gt = generate(small_cfg(n_sources=1))
     rep = identifiability_report(gt)
     assert rep.theta == pytest.approx(0.0, abs=1e-12)
+
+
+part_values = st.sampled_from([0.0, -0.0, 1.5, -2.0, 5e-324, 1e300])
+full_values = st.sampled_from([1.5, -2.0, 5e-324, 1e300])
+
+
+@st.composite
+def dense_parts(draw):
+    # per source, a matrix of one row count and its own width (zero-size,
+    # all zeros, full or mixed), C-ordered, Fortran-ordered or a strided view
+    n1 = draw(st.integers(0, 5))
+    mats = []
+    for width in draw(st.lists(st.integers(0, 7), min_size=1, max_size=4)):
+        kind = draw(st.sampled_from(["zeros", "full", "mixed"]))
+        if kind == "zeros":
+            mats.append(np.zeros((n1, width)))
+            continue
+        values = full_values if kind == "full" else part_values
+        layout = draw(st.sampled_from(["c", "fortran", "strided"]))
+        if layout == "strided":
+            mats.append(draw(hnp.arrays(np.float64, (n1, 2 * width), elements=values))[:, ::2])
+        else:
+            m = draw(hnp.arrays(np.float64, (n1, width), elements=values))
+            mats.append(np.asfortranarray(m) if layout == "fortran" else m)
+    return mats
+
+
+@given(dense_parts())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_sparse_parts_round_trip_bit_for_bit(mats):
+    # dense -> support -> dense gives each matrix back bit for bit, in a new
+    # C-ordered array per read; -0.0 is zero, so it reads back as +0.0
+    parts = SparseParts.from_dense(mats)
+    assert len(parts) == len(mats)
+    assert parts.support_sizes == [int(np.count_nonzero(m)) for m in mats]
+    for idx in parts.indices:
+        assert np.all(np.diff(idx) > 0)
+    for back, m in zip(parts, mats, strict=True):
+        assert back.shape == m.shape and back.dtype == np.float64 and back.flags.c_contiguous
+        want = np.where(m == 0.0, 0.0, m)
+        assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
+    first = parts[0]
+    first += 1.0
+    assert parts[0] is not first and np.array_equal(parts[0], np.where(mats[0] == 0.0, 0.0, mats[0]))
+    tail = parts[1:]
+    assert isinstance(tail, SparseParts) and tail.support_sizes == parts.support_sizes[1:]
+
+
+def test_ground_truth_holds_its_noise_as_supports():
+    # a list of matrices is converted once; parts already in support form
+    # are kept as they are, as hmf_correct's replace() passes them on
+    gt = generate(small_cfg())
+    assert isinstance(gt.s, SparseParts)
+    assert SparseParts.of(gt.s) is gt.s
+    dense = list(gt.s)
+    again = GroundTruth(u_g=gt.u_g, v_g=gt.v_g, u_l=gt.u_l, v_l=gt.v_l, s=dense)
+    assert all(np.array_equal(a, b) for a, b in zip(again.s, dense, strict=True))
+    with pytest.raises(DimensionError):
+        GroundTruth(u_g=gt.u_g, v_g=gt.v_g, u_l=gt.u_l, v_l=gt.v_l, s=[np.zeros(3)] * gt.n_sources)
