@@ -38,7 +38,6 @@ from .numerics import ThinSVD, projection_onto, truncated_svd
 from .perpca import PerpcaParams, perpca_solve
 from .thresholding import (
     LambdaSchedule,
-    SparseEstimate,
     hard_threshold,
     initial_lambda,
     next_lambda,
@@ -62,7 +61,6 @@ __all__ = [
     "PerpcaParams",
     "RecoveryErrors",
     "SingularityError",
-    "SparseEstimate",
     "SparseParts",
     "SynthConfig",
     "TcmfConfig",

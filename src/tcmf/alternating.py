@@ -6,11 +6,11 @@ Epoch t (estimates start at zero):
     factors  = jimf backend fit of {M_i - s_hat[i]}
     lambda_{t+1} = rho * lambda_t + epsilon
 
-The noise is sparse, so an epoch holds each s_hat[i] as its support: the
-flat indices and values of the entries above lambda_t.  Beside the data, the
-solve then holds one data-sized stack, the cleaned {M_i - s_hat[i]}.  No
-dense s_hat is built: the SparseEstimate holds the supports, and scoring
-reads them as they are.
+The noise is sparse, so an epoch holds s_hat as SparseParts, per source the
+flat indices and values of the entries above lambda_t, as the ground truth
+holds its noise.  Beside the data, the solve then holds one data-sized stack,
+the cleaned {M_i - s_hat[i]}.  No dense s_hat is built: scoring reads the
+supports as they are.
 """
 
 import time
@@ -23,7 +23,7 @@ from .jimf import solve
 from .metrics import recovery_errors
 from .model import FactorEstimate, GroundTruth, ObservationSet, SparseParts
 from .numerics import as_matrix, truncated_svd
-from .thresholding import LambdaSchedule, SparseEstimate, _threshold, next_lambda
+from .thresholding import LambdaSchedule, _threshold, next_lambda
 
 WARM_START_POLICIES = ("carry_forward", "fresh_spectral")
 
@@ -61,35 +61,29 @@ class EpochTrace:
     wall_ms: float
 
 
-def _support_violations(s_hat: SparseEstimate, truth: SparseParts) -> int:
+def _support_violations(s_hat: SparseParts, truth: SparseParts) -> int:
     # entries claimed by the estimate outside the true support: each
     # estimated index absent from the truth's sorted, distinct indices, so
     # that its left and right insertion points there coincide
     violations = 0
-    for idx, true_idx in zip(s_hat.s.indices, truth.indices):
+    for idx, true_idx in zip(s_hat.indices, truth.indices):
         found = np.searchsorted(true_idx, idx, side="right") - np.searchsorted(true_idx, idx)
         violations += idx.size - int(found.sum())
     return violations
 
 
 def _split(m: np.ndarray, r: np.ndarray, lam: float):
-    # _threshold(r, lam) in support form, the C-order flat indices and values
-    # of the entries above lam, and m less it.  The cleaned matrix is laid out
-    # as m - _threshold(r, lam) would be, like r; off the support it is m
-    # itself, as m - (+0.0) is, and on it m_ij - r_ij, the same subtraction
+    # m less _threshold(r, lam), then that threshold in support form: the
+    # C-order flat indices and values of the entries above lam.  The cleaned
+    # matrix is laid out as m - _threshold(r, lam) would be, like r; off the
+    # support it is m itself, as m - (+0.0) is, and on it m_ij - r_ij, the
+    # same subtraction
     idx = np.flatnonzero(np.abs(r) > lam)
     vals = r.take(idx)
     cleaned = np.empty_like(r)
     np.copyto(cleaned, m)
     np.put(cleaned, idx, m.take(idx) - vals)
-    return cleaned, (idx, vals)
-
-
-def _estimate(mats: list, supports: list) -> SparseEstimate:
-    # the sparse part _threshold gives, held as the supports _split took,
-    # each in its source's shape: no dense matrix is built
-    idx, vals = zip(*supports)
-    return SparseEstimate(s=SparseParts(tuple(m.shape for m in mats), idx, vals))
+    return cleaned, idx, vals
 
 
 def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
@@ -100,21 +94,21 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     Backend divergence propagates with the completed epoch traces attached
     to the raised error.
 
-    Each epoch holds its sparse part as its support (flat indices and values
-    per source) beside the cleaned data.  The SparseEstimate holds those
-    supports; it is built where it is read: every epoch with ground truth,
-    for scoring, and once after the last epoch without it.  No dense sparse
-    part is built; reading s_hat.s[i] builds one.
+    Each epoch holds its sparse part as SparseParts, the supports _split
+    took (flat indices and values per source), beside the cleaned data; the
+    last epoch's is returned, with or without ground truth.  No dense sparse
+    part is built; reading s_hat[i] builds one.
     """
     est: FactorEstimate | None = None
     traces: list[EpochTrace] = []
     lam = cfg.schedule.lambda1
+    shapes = tuple(m.shape for m in obs.matrices)
     try:
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
-            s_hat = None  # only est and lam carry over
-            cleaned, supports = zip(*[_split(m, m if est is None else m - est.reconstruction(i), lam)
-                                      for i, m in enumerate(obs.matrices)])
+            cleaned, idx, vals = zip(*[_split(m, m if est is None else m - est.reconstruction(i), lam)
+                                       for i, m in enumerate(obs.matrices)])
+            s_hat = SparseParts(shapes, idx, vals)
             if cfg.warm_start_policy != "carry_forward":
                 est = None  # spent: a fresh start reads only the cleaned data
             est = solve(ObservationSet(matrices=cleaned, r1=obs.r1, r2=obs.r2), cfg.params, est)
@@ -122,7 +116,6 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
             wall_ms = (time.perf_counter() - t0) * 1e3
             errors = {}
             if gt is not None:
-                s_hat = _estimate(obs.matrices, supports)
                 errors = asdict(recovery_errors(est, s_hat, gt))
                 errors["support_violations"] = _support_violations(s_hat, gt.s)
             traces.append(EpochTrace(epoch=epoch, lam=lam, wall_ms=wall_ms, **errors))
@@ -130,8 +123,6 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     except DivergenceError as err:
         err.epoch_traces = traces
         raise
-    if s_hat is None:  # no ground truth: the last epoch's, built once for the caller
-        s_hat = _estimate(obs.matrices, supports)
     return est, s_hat, traces
 
 

@@ -22,7 +22,7 @@ from .jimf import BACKENDS
 from .model import FactorEstimate, GroundTruth, IdentifiabilityReport, ObservationSet, SparseParts, SynthConfig
 from .numerics import as_matrix
 from .perpca import PerpcaParams
-from .thresholding import LAMBDA1_MODES, SparseEstimate
+from .thresholding import LAMBDA1_MODES
 
 MAGIC = b"TCMFMAT1"
 _HEADER = struct.Struct("<8sQQ")
@@ -241,16 +241,15 @@ def load_ground_truth(directory, n_sources: int) -> GroundTruth:
     return GroundTruth(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l, s=s)
 
 
-def save_estimates(directory, est: FactorEstimate, s_hat: SparseEstimate):
+def save_estimates(directory, est: FactorEstimate, s_hat: SparseParts):
     directory = Path(directory) / ESTIMATES_DIR
-    _write_factors(directory, _EST_PREFIX, est, s_hat.s)
+    _write_factors(directory, _EST_PREFIX, est, s_hat)
 
 
 def load_estimates(directory, n_sources: int):
     directory = Path(directory) / ESTIMATES_DIR
     u_g, v_g, u_l, v_l, s = _read_factors(directory, _EST_PREFIX, n_sources)
-    est = FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)
-    return est, SparseEstimate(s=s)  # read_matrix checked every S_i
+    return FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l), s
 
 
 # trace CSV --------------------------------------------------------------

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .model import FactorEstimate, GroundTruth
-from .thresholding import SparseEstimate
+from .model import FactorEstimate, GroundTruth, SparseParts
 
 LOG_FLOOR = 1e-16
 
@@ -38,13 +37,13 @@ def _max_and_squares(d: np.ndarray, scratch: np.ndarray) -> tuple:
 
 # a diverging run's errors overflow to inf, recorded as such, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def recovery_errors(est: FactorEstimate, s_hat: SparseEstimate, gt: GroundTruth) -> RecoveryErrors:
+def recovery_errors(est: FactorEstimate, s_hat: SparseParts, gt: GroundTruth) -> RecoveryErrors:
     n = gt.n_sources
-    if est.n_sources != n or len(s_hat.s) != n:
+    if est.n_sources != n or len(s_hat) != n:
         raise DimensionError("estimate, sparse part and ground truth disagree on source count")
     shapes = list(gt.s.shapes)
     est.check_fits(shapes, "estimates vs the ground truth")
-    if list(s_hat.s.shapes) != shapes:
+    if list(s_hat.shapes) != shapes:
         raise DimensionError(f"estimated sparse parts do not match the ground truth shapes {shapes}")
     # Two work arrays sized to the largest source.  Each source's differences
     # are taken in C-contiguous views of its shape, so np.sum adds them in the
@@ -65,7 +64,7 @@ def recovery_errors(est: FactorEstimate, s_hat: SparseEstimate, gt: GroundTruth)
         top, sq = _max_and_squares(a, b)
         linf_l, sq_l = linf_l + top, sq_l + sq
         a.fill(0.0)
-        a.put(s_hat.s.indices[i], s_hat.s.values[i])
+        a.put(s_hat.indices[i], s_hat.values[i])
         np.subtract.at(a.reshape(-1), gt.s.indices[i], gt.s.values[i])
         top, sq = _max_and_squares(a, b)
         linf_s, sq_s = linf_s + top, sq_s + sq

@@ -7,6 +7,7 @@ u_g^T u_l[i] = 0, and a sparse noise matrix s[i], held as its support
 (SparseParts).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,8 +42,8 @@ class SynthConfig:
             raise DimensionError("need r1 + r2 <= min(n1, n2)")
         if not 0.0 <= self.noise_prob <= 1.0:
             raise ConfigurationError("noise_prob must lie in [0, 1]")
-        if self.noise_magnitude <= 0.0:
-            raise ConfigurationError("noise_magnitude must be positive")
+        if not 0.0 < self.noise_magnitude < np.inf:
+            raise ConfigurationError("noise_magnitude must be positive and finite")
         if self.seed < 0:
             raise ConfigurationError("seed must be nonnegative")
 
@@ -54,7 +55,9 @@ class SparseParts:
     float64 values.  s[i] and iteration build a new dense C-ordered matrix
     on each read, +0.0 off the support: bit for bit the matrix the parts
     were built from, except that a -0.0 entry, being zero, reads back as
-    +0.0.  A slice gives the parts of those sources."""
+    +0.0.  Construction checks that each source has a 1-D index array,
+    strictly increasing within its shape, and one value per index; values
+    may be non-finite, as a diverging epoch thresholds overflowed residuals."""
 
     shapes: tuple
     indices: tuple
@@ -63,6 +66,12 @@ class SparseParts:
     def __post_init__(self):
         if not len(self.shapes) == len(self.indices) == len(self.values):
             raise DimensionError("need one shape, index array and value array per source")
+        for i, (shape, idx, vals) in enumerate(zip(self.shapes, self.indices, self.values), start=1):
+            idx, size = np.asarray(idx), math.prod(shape)
+            if idx.ndim != 1 or np.shape(vals) != idx.shape:
+                raise DimensionError(f"source {i}: need a 1-D index array and one value per index")
+            if idx.size and not (0 <= idx[0] and idx[-1] < size and np.all(idx[1:] > idx[:-1])):
+                raise ContractViolationError(f"source {i}: indices must strictly increase within [0, {size})")
 
     @classmethod
     def from_dense(cls, mats) -> "SparseParts":
@@ -79,17 +88,10 @@ class SparseParts:
             values.append(m.take(idx))
         return cls(tuple(shapes), tuple(indices), tuple(values))
 
-    @classmethod
-    def of(cls, s) -> "SparseParts":
-        """s itself if it is already in support form, else from_dense(s)."""
-        return s if isinstance(s, cls) else cls.from_dense(s)
-
     def __len__(self) -> int:
         return len(self.shapes)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return SparseParts(self.shapes[i], self.indices[i], self.values[i])
+    def __getitem__(self, i: int) -> np.ndarray:
         m = np.zeros(self.shapes[i])
         m.put(self.indices[i], self.values[i])
         return m
@@ -170,14 +172,16 @@ class FactorEstimate:
 @dataclass(frozen=True)
 class GroundTruth(FactorEstimate):
     """True factors plus the sparse noise s[i] of every source, held as
-    SparseParts and converted once on construction (a list of matrices is
-    accepted); s[i] builds a new dense matrix on each read."""
+    SparseParts: a list of matrices is converted once on construction, and
+    parts already in support form are kept as they are; s[i] builds a new
+    dense matrix on each read."""
 
     s: SparseParts
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "s", SparseParts.of(self.s))
+        if not isinstance(self.s, SparseParts):
+            object.__setattr__(self, "s", SparseParts.from_dense(self.s))
         self.check_fits(list(self.s.shapes), "ground truth vs its sparse noise")
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import IdentifiabilityReport, ObservationSet, SparseParts
+from .model import IdentifiabilityReport, ObservationSet
 from .numerics import as_matrix
 
 
@@ -30,28 +30,6 @@ class LambdaSchedule:
             raise ConfigurationError("epsilon must be nonnegative and finite")
         if not self.rho < 1.0 - self.epsilon / self.lambda1:
             raise ConfigurationError("need rho < 1 - epsilon/lambda1")
-
-
-@dataclass(frozen=True)
-class SparseEstimate:
-    """Per-source sparse noise estimates, held as SparseParts and converted
-    once on construction (a list of matrices is accepted, unchecked);
-    s[i] builds a new dense matrix on each read.  from_matrices checks each
-    matrix with as_matrix before converting it."""
-
-    s: SparseParts
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", SparseParts.of(self.s))
-
-    @property
-    def support_sizes(self) -> list:
-        """Nonzero count of each source's estimate: its support's size."""
-        return self.s.support_sizes
-
-    @classmethod
-    def from_matrices(cls, mats) -> "SparseEstimate":
-        return cls(s=SparseParts.from_dense(as_matrix(m) for m in mats))
 
 
 def hard_threshold(x, lam: float) -> np.ndarray:

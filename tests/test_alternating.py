@@ -14,12 +14,12 @@ from tcmf import (
     LambdaSchedule,
     ObservationSet,
     PerpcaParams,
-    SparseEstimate,
     SparseParts,
     SynthConfig,
     TcmfConfig,
     assemble_observations,
     generate,
+    hard_threshold,
     identifiability_report,
     initial_lambda,
     rpca_baseline,
@@ -90,7 +90,7 @@ def test_run_is_deterministic(tiny):
     est_a, s_a, tr_a = run(obs, cfg)
     est_b, s_b, tr_b = run(obs, cfg)
     assert np.array_equal(est_a.u_g, est_b.u_g)
-    for x, y in zip(s_a.s, s_b.s):
+    for x, y in zip(s_a, s_b):
         assert np.array_equal(x, y)
     for a, b in zip(tr_a, tr_b):
         assert a.lam == b.lam and a.epoch == b.epoch
@@ -140,7 +140,7 @@ def test_run_scores_every_epoch_through_the_module_binding(monkeypatch):
     assert all(len(args) == 3 and kwargs == {} and args[2] is gt for args, kwargs in calls)
     assert calls[-1][0][1] is s_hat
     for args, _ in calls:
-        assert args[1].support_sizes == [int(np.count_nonzero(s)) for s in args[1].s]
+        assert args[1].support_sizes == [int(np.count_nonzero(s)) for s in args[1]]
     assert sum(s_hat.support_sizes) > 0
     calls.clear()
     run(obs, cfg)
@@ -153,7 +153,7 @@ sparse_values = st.sampled_from([0.0, -0.0, 1.5, -2.0, 1e-300])
 @st.composite
 def sparse_pairs(draw):
     # per source, a true sparse part (sometimes empty) and an estimate that
-    # is a strided or transposed view, as from_matrices keeps it
+    # is a strided or transposed view, as from_dense reads it
     n1 = draw(st.integers(1, 5))
     true_s, est_s = [], []
     for width in draw(st.lists(st.integers(1, 7), min_size=1, max_size=4)):
@@ -163,7 +163,7 @@ def sparse_pairs(draw):
             est_s.append(draw(hnp.arrays(np.float64, (n1, 2 * width), elements=sparse_values))[:, ::2])
         else:
             est_s.append(draw(hnp.arrays(np.float64, (width, n1), elements=sparse_values)).T)
-    return true_s, SparseEstimate.from_matrices(est_s)
+    return true_s, SparseParts.from_dense(est_s)
 
 
 @given(sparse_pairs())
@@ -171,7 +171,7 @@ def sparse_pairs(draw):
 def test_support_violations_read_on_the_true_support_count_the_dense_mask(pair):
     # counted on the two supports alone, the estimate's and the truth's
     true_s, s_hat = pair
-    dense = sum(int(np.count_nonzero((e != 0.0) & (t == 0.0))) for e, t in zip(s_hat.s, true_s))
+    dense = sum(int(np.count_nonzero((e != 0.0) & (t == 0.0))) for e, t in zip(s_hat, true_s))
     assert alternating._support_violations(s_hat, SparseParts.from_dense(true_s)) == dense
 
 
@@ -325,8 +325,8 @@ def _with_signed_zeros(a, rng):
 
 
 def test_support_form_gives_the_dense_threshold_bit_for_bit(uneven):
-    # _split's cleaned matrix, and the sparse part of the estimate _estimate
-    # builds from its support, read back dense, against the dense
+    # _split's cleaned matrix, and the sparse part its support gives, read
+    # back dense, against the dense
     # m - _threshold(r, lam) and _threshold(r, lam): values, signed zeros and
     # the memory layout the solve's Gram stack reads
     rng = np.random.default_rng(11)
@@ -344,9 +344,9 @@ def test_support_form_gives_the_dense_threshold_bit_for_bit(uneven):
     cases += [(m, r, float(np.max(np.abs(r)))), (m, r, 1e300), (m, away_from_zero, 0.5)]
     sizes = []
     for m, r, lam in cases:
-        cleaned, support = alternating._split(m, r, lam)
-        sizes.append(support[0].size)
-        s = alternating._estimate([m], [support]).s[0]
+        cleaned, idx, vals = alternating._split(m, r, lam)
+        sizes.append(idx.size)
+        s = SparseParts((m.shape,), (idx,), (vals,))[0]
         want_s = _threshold(r, lam)
         want_cleaned = m - want_s
         for got, want in ((s, want_s), (cleaned, want_cleaned)):
@@ -358,21 +358,17 @@ def test_support_form_gives_the_dense_threshold_bit_for_bit(uneven):
 
 @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no_truth"])
 def test_run_builds_the_dense_sparse_part_only_where_it_is_read(monkeypatch, with_truth):
-    # scoring reads the sparse estimate every epoch; without ground truth
-    # only the returned one is built.  Neither run nor its scoring reads a
-    # dense sparse part: only the caller does, from the returned supports.
-    # wall_ms still spans thresholding and solve
+    # run takes one path with or without ground truth: it returns the same
+    # SparseParts either way, bit for bit, the supports of the last epoch's
+    # threshold.  Neither run nor its scoring reads a dense sparse part:
+    # only the caller does.  wall_ms still spans thresholding and solve
     gt = generate(SynthConfig(n_sources=3, n1=10, n2=24, r1=2, r2=2,
                               noise_prob=0.03, noise_magnitude=40.0, seed=5))
     obs = assemble_observations(gt)
     cfg = tiny_cfg(initial_lambda(obs, "theoretical", identifiability_report(gt)), epochs=4, rho=0.9,
                    params=HmfParams(step_size=5e-3, iterations=20, beta=1e-5))
-    built, split_starts, solves = [], [], []
+    split_starts, solves = [], []
     split, solve = alternating._split, alternating.solve
-
-    def counting_estimate(s):
-        built.append(SparseEstimate(s=s))
-        return built[-1]
 
     def timed_split(*args):
         split_starts.append(time.perf_counter())
@@ -390,18 +386,19 @@ def test_run_builds_the_dense_sparse_part_only_where_it_is_read(monkeypatch, wit
         dense_reads.append(i)
         return read(parts, i)
 
-    monkeypatch.setattr(alternating, "SparseEstimate", counting_estimate)
+    monkeypatch.setattr(SparseParts, "__getitem__", counting_read)
+    _, other, _ = run(obs, cfg, None if with_truth else gt)
     monkeypatch.setattr(alternating, "_split", timed_split)
     monkeypatch.setattr(alternating, "solve", timed_solve)
-    monkeypatch.setattr(SparseParts, "__getitem__", counting_read)
     _, s_hat, traces = run(obs, cfg, gt if with_truth else None)
     assert dense_reads == []
-    assert len(built) == (cfg.epochs if with_truth else 1)
-    assert built[-1] is s_hat
+    assert isinstance(s_hat, SparseParts) and s_hat.shapes == other.shapes
+    for a, b in zip(s_hat.indices + s_hat.values, other.indices + other.values, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
     last_fit = solves[-2][1]
     for i, m in enumerate(obs.matrices):
-        want = _threshold(m - last_fit.reconstruction(i), traces[-1].lam)
-        assert np.array_equal(s_hat.s[i], want)
+        want = hard_threshold(m - last_fit.reconstruction(i), traces[-1].lam)
+        assert np.array_equal(s_hat[i], want)
         assert np.array_equal(solves[-1][0].matrices[i], m - want)
     n = obs.n_sources
     for epoch, t in enumerate(traces):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tcmf import SparseEstimate, cli, io
+from tcmf import cli, io
 from tcmf.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CORRUPT,
@@ -407,7 +407,7 @@ class TestMisshapedFactorFiles:
     def test_wrong_shape_estimates_exit_65(self, tmp_path, capsys, shapes):
         _, out = synth(tmp_path)
         gt = io.load_ground_truth(out, int(BASE_CONFIG["n_sources"]))
-        io.save_estimates(out, gt, SparseEstimate.from_matrices(gt.s))
+        io.save_estimates(out, gt, gt.s)
         assert main(["metrics", "--data", str(out)]) == EXIT_OK
         for name, shape in shapes.items():
             io.write_matrix(out / "estimates" / name, np.ones(shape))

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from tcmf import (
     EpochTrace,
+    SparseParts,
     SynthConfig,
     assemble_observations,
     generate,
@@ -229,15 +230,17 @@ def test_count_sources_empty_dir(tmp_path):
 
 def test_save_load_estimates(tmp_path, tiny):
     est = tiny.exact_estimate()
-    from tcmf import SparseEstimate
-
-    s_hat = SparseEstimate.from_matrices([np.zeros((10, 20)) for _ in range(3)])
+    mats = [np.zeros((10, 20)) for _ in range(3)]
+    mats[1][2, 3], mats[2][9, 0] = -1.5, 2.0
+    s_hat = SparseParts.from_dense(mats)
     save_estimates(tmp_path, est, s_hat)
     est_back, s_back = load_estimates(tmp_path, 3)
     assert np.array_equal(est_back.u_g, est.u_g)
+    assert isinstance(s_back, SparseParts) and s_back.shapes == s_hat.shapes
     for i in range(3):
         assert np.array_equal(est_back.v_l[i], est.v_l[i])
-        assert np.array_equal(s_back.s[i], s_hat.s[i])
+        assert np.array_equal(s_back.indices[i], s_hat.indices[i])
+        assert np.array_equal(s_back.values[i], s_hat.values[i])
 
 
 def sample_traces():

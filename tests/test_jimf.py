@@ -553,7 +553,7 @@ def test_both_backends_reject_the_same_bad_starts(tiny, entry, params):
 def _estimates(obs, tmp_path):
     # every producer of a FactorEstimate, on the problem obs
     start = spectral_init(obs)
-    save_estimates(tmp_path, start, tcmf.SparseEstimate.from_matrices(obs.matrices))
+    save_estimates(tmp_path, start, tcmf.SparseParts.from_dense(obs.matrices))
     cfg = tcmf.SynthConfig(obs.n_sources, obs.n1, 20, obs.r1, obs.r2, noise_prob=0.0, noise_magnitude=1.0, seed=0)
     return {
         "spectral_init": start,

@@ -8,7 +8,7 @@ from tcmf import (
     FactorEstimate,
     GroundTruth,
     RecoveryErrors,
-    SparseEstimate,
+    SparseParts,
     generate,
     recovery_errors,
     SynthConfig,
@@ -24,7 +24,7 @@ def gt_and_exact_estimate(seed=7):
                               noise_prob=0.1, noise_magnitude=5.0, seed=seed))
     est = FactorEstimate(u_g=gt.u_g, v_g=list(gt.v_g), u_l=list(gt.u_l),
                          v_l=list(gt.v_l))
-    s_hat = SparseEstimate.from_matrices([s.copy() for s in gt.s])
+    s_hat = SparseParts.from_dense(gt.s)
     return gt, est, s_hat
 
 
@@ -38,9 +38,9 @@ def test_exact_estimate_floors_logs():
 def test_single_sparse_entry_off_by_delta():
     gt, est, s_hat = gt_and_exact_estimate()
     delta = 0.125
-    bumped = [s.copy() for s in s_hat.s]
+    bumped = [s.copy() for s in s_hat]
     bumped[1][0, 0] += delta
-    errs = recovery_errors(est, SparseEstimate.from_matrices(bumped), gt)
+    errs = recovery_errors(est, SparseParts.from_dense(bumped), gt)
     n = gt.n_sources
     assert errs.linf_s == pytest.approx(delta / n)
     # the squared-Frobenius log for the sparse part carries no 1/N
@@ -63,7 +63,7 @@ def test_global_error_averages_over_sources():
 
 def test_recovery_errors_source_count_mismatch():
     gt, est, s_hat = gt_and_exact_estimate()
-    short = SparseEstimate.from_matrices(s_hat.s[:2])
+    short = SparseParts.from_dense(list(s_hat)[:2])
     with pytest.raises(DimensionError):
         recovery_errors(est, short, gt)
 
@@ -72,10 +72,10 @@ def test_recovery_errors_reject_a_sparse_part_that_would_broadcast():
     # a (1, n2) row broadcasts against the (n1, n2) truth and used to be
     # scored as if it were the whole sparse part
     gt, est, s_hat = gt_and_exact_estimate()
-    rows = [s.copy() for s in s_hat.s]
+    rows = [s.copy() for s in s_hat]
     rows[1] = rows[1][:1]
     with pytest.raises(DimensionError, match="sparse parts do not match the ground truth shapes"):
-        recovery_errors(est, SparseEstimate.from_matrices(rows), gt)
+        recovery_errors(est, SparseParts.from_dense(rows), gt)
 
 
 def test_recovery_errors_reject_factors_of_the_wrong_width():
@@ -91,16 +91,18 @@ def test_recovery_errors_reject_factors_of_the_wrong_width():
 def test_recovery_errors_permutation_invariant():
     gt, est, s_hat = gt_and_exact_estimate()
     rng = np.random.default_rng(0)
-    for i, s in enumerate(s_hat.s):
+    bumped = list(s_hat)  # each read is a new dense matrix, so bump the copies
+    for i, s in enumerate(bumped):
         s[rng.integers(s.shape[0]), rng.integers(s.shape[1])] += 0.3 * (i + 1)
-    base = recovery_errors(est, SparseEstimate.from_matrices(s_hat.s), gt)
+    base = recovery_errors(est, SparseParts.from_dense(bumped), gt)
+    assert base.linf_s > 0.0
     perm = [2, 0, 1]
     gt_p = GroundTruth(u_g=gt.u_g, v_g=[gt.v_g[i] for i in perm],
                        u_l=[gt.u_l[i] for i in perm], v_l=[gt.v_l[i] for i in perm],
                        s=[gt.s[i] for i in perm])
     est_p = FactorEstimate(u_g=est.u_g, v_g=[est.v_g[i] for i in perm],
                            u_l=[est.u_l[i] for i in perm], v_l=[est.v_l[i] for i in perm])
-    s_p = SparseEstimate.from_matrices([s_hat.s[i] for i in perm])
+    s_p = SparseParts.from_dense([bumped[i] for i in perm])
     permuted = recovery_errors(est_p, s_p, gt_p)
     for field in ("linf_g", "linf_l", "linf_s", "log_g", "log_l", "log_s"):
         assert getattr(permuted, field) == pytest.approx(getattr(base, field), rel=1e-12)
@@ -115,7 +117,7 @@ def reference_recovery_errors(est, s_hat, gt):
         for i in range(n):
             dg = est.u_g @ est.v_g[i].T - gt.u_g @ gt.v_g[i].T
             dl = est.u_l[i] @ est.v_l[i].T - gt.u_l[i] @ gt.v_l[i].T
-            ds = s_hat.s[i] - gt.s[i]
+            ds = s_hat[i] - gt.s[i]
             linf_g += linf(dg)
             linf_l += linf(dl)
             linf_s += linf(ds)
@@ -146,7 +148,7 @@ def problem(truth, seed, scale=1.0, exact=False):
     est = FactorEstimate.from_joint(u, v, gt.r1)
     s = [si.copy() if exact else np.where(rng.random(si.shape) < 0.05, 0.0, si + sparse_noise(rng, si.shape))
          for si in gt.s]
-    return est, SparseEstimate.from_matrices(s), gt
+    return est, SparseParts.from_dense(s), gt
 
 
 def same_bits(got, want):

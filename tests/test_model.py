@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,8 +43,9 @@ def test_synth_config_validation():
         small_cfg(r1=10, r2=10)  # r1 + r2 > min(n1, n2)
     with pytest.raises(ConfigurationError):
         small_cfg(noise_prob=1.5)
-    with pytest.raises(ConfigurationError):
-        small_cfg(noise_magnitude=0.0)
+    for magnitude in (0.0, np.nan, np.inf):  # with noise_prob 0, NaN would pass silently
+        with pytest.raises(ConfigurationError, match="noise_magnitude"):
+            small_cfg(noise_magnitude=magnitude, noise_prob=0.0)
     with pytest.raises(ConfigurationError, match="seed"):
         small_cfg(seed=-1)
 
@@ -376,8 +379,26 @@ def test_sparse_parts_round_trip_bit_for_bit(mats):
     first = parts[0]
     first += 1.0
     assert parts[0] is not first and np.array_equal(parts[0], np.where(mats[0] == 0.0, 0.0, mats[0]))
-    tail = parts[1:]
-    assert isinstance(tail, SparseParts) and tail.support_sizes == parts.support_sizes[1:]
+
+
+@pytest.mark.parametrize("idx, vals, error", [
+    (np.array([[0, 1]]), np.array([[1.0, 2.0]]), DimensionError),
+    (np.array([0, 4, 5]), np.array([7.0]), DimensionError),  # np.put would repeat 7.0
+    (np.array([4, 1]), np.array([1.0, 2.0]), ContractViolationError),
+    (np.array([2, 2]), np.array([1.0, 2.0]), ContractViolationError),
+    (np.array([0, 6]), np.array([1.0, 2.0]), ContractViolationError),
+    (np.array([-1, 0]), np.array([1.0, 2.0]), ContractViolationError),
+], ids=["2d_indices", "too_few_values", "unsorted", "repeated", "past_the_end", "negative"])
+def test_sparse_parts_check_their_supports(idx, vals, error):
+    # a 2x3 source's support must be 1-D, one value per index, and strictly
+    # increasing within [0, 6): an unsorted or repeated true support made
+    # _support_violations count -1, and an index past the end failed on read
+    with pytest.raises(error):
+        SparseParts(((2, 3),), (idx,), (vals,))
+    # non-finite values pass: a diverging epoch thresholds overflowed residuals
+    parts = SparseParts(((2, 3), (2, 0)), (np.array([0, 5]), np.array([], dtype=np.intp)),
+                        (np.array([np.inf, np.nan]), np.array([])))
+    assert parts.support_sizes == [2, 0]
 
 
 def test_ground_truth_holds_its_noise_as_supports():
@@ -385,7 +406,7 @@ def test_ground_truth_holds_its_noise_as_supports():
     # are kept as they are, as hmf_correct's replace() passes them on
     gt = generate(small_cfg())
     assert isinstance(gt.s, SparseParts)
-    assert SparseParts.of(gt.s) is gt.s
+    assert replace(gt, v_g=gt.v_g).s is gt.s
     dense = list(gt.s)
     again = GroundTruth(u_g=gt.u_g, v_g=gt.v_g, u_l=gt.u_l, v_l=gt.v_l, s=dense)
     assert all(np.array_equal(a, b) for a, b in zip(again.s, dense, strict=True))

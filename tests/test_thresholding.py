@@ -8,7 +8,6 @@ from tcmf import (
     IdentifiabilityReport,
     LambdaSchedule,
     ObservationSet,
-    SparseEstimate,
     hard_threshold,
     initial_lambda,
     next_lambda,
@@ -149,9 +148,3 @@ def test_initial_lambda_rejects_zero_data():
 def test_initial_lambda_unknown_mode():
     with pytest.raises(ConfigurationError):
         initial_lambda(obs_with([np.ones((2, 2))]), "guess")
-
-
-def test_sparse_estimate_support_sizes():
-    mats = [np.array([[0.0, 1.0], [2.0, 0.0]]), np.zeros((2, 2))]
-    est = SparseEstimate.from_matrices(mats)
-    assert est.support_sizes == [2, 0]
