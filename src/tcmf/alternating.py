@@ -1,5 +1,6 @@
 """Outer loop: alternate hard thresholding of the residual with a joint
-factorization of the cleaned data while the threshold decays geometrically.
+factorization of the data less that sparse part while the threshold decays
+geometrically.
 
 Epoch t (estimates start at zero):
     s_hat[i] = hard_threshold(M_i - L_hat[i], lambda_t)
@@ -8,9 +9,10 @@ Epoch t (estimates start at zero):
 
 The noise is sparse, so an epoch holds s_hat as SparseParts, per source the
 flat indices and values of the entries above lambda_t, as the ground truth
-holds its noise.  Beside the data, the solve then holds one data-sized stack,
-the cleaned {M_i - s_hat[i]}.  No dense s_hat is built: scoring reads the
-supports as they are.
+holds its noise.  The solve fits obs.less(s_hat), which builds each source's
+M_i - s_hat[i] only when a solver reads it, so beside the data an epoch holds
+no data-sized stack.  No dense s_hat is built: scoring reads the supports as
+they are.
 """
 
 import time
@@ -72,18 +74,11 @@ def _support_violations(s_hat: SparseParts, truth: SparseParts) -> int:
     return violations
 
 
-def _split(m: np.ndarray, r: np.ndarray, lam: float):
-    # m less _threshold(r, lam), then that threshold in support form: the
-    # C-order flat indices and values of the entries above lam.  The cleaned
-    # matrix is laid out as m - _threshold(r, lam) would be, like r; off the
-    # support it is m itself, as m - (+0.0) is, and on it m_ij - r_ij, the
-    # same subtraction
+def _split(r: np.ndarray, lam: float):
+    # _threshold(r, lam) in support form: the C-order flat indices and values
+    # of the entries above lam
     idx = np.flatnonzero(np.abs(r) > lam)
-    vals = r.take(idx)
-    cleaned = np.empty_like(r)
-    np.copyto(cleaned, m)
-    np.put(cleaned, idx, m.take(idx) - vals)
-    return cleaned, idx, vals
+    return idx, r.take(idx)
 
 
 def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
@@ -95,9 +90,9 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     to the raised error.
 
     Each epoch holds its sparse part as SparseParts, the supports _split
-    took (flat indices and values per source), beside the cleaned data; the
-    last epoch's is returned, with or without ground truth.  No dense sparse
-    part is built; reading s_hat[i] builds one.
+    took (flat indices and values per source), and solves obs.less(s_hat);
+    the last epoch's part is returned, with or without ground truth.  No
+    dense sparse part is built; reading s_hat[i] builds one.
     """
     est: FactorEstimate | None = None
     traces: list[EpochTrace] = []
@@ -106,13 +101,12 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     try:
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
-            cleaned, idx, vals = zip(*[_split(m, m if est is None else m - est.reconstruction(i), lam)
-                                       for i, m in enumerate(obs.matrices)])
+            idx, vals = zip(*[_split(m if est is None else m - est.reconstruction(i), lam)
+                              for i, m in enumerate(obs.matrices)])
             s_hat = SparseParts(shapes, idx, vals)
             if cfg.warm_start_policy != "carry_forward":
-                est = None  # spent: a fresh start reads only the cleaned data
-            est = solve(ObservationSet(matrices=cleaned, r1=obs.r1, r2=obs.r2), cfg.params, est)
-            del cleaned  # spent: the metrics' work arrays take its room
+                est = None  # spent: a fresh start reads only the problem
+            est = solve(obs.less(s_hat), cfg.params, est)
             wall_ms = (time.perf_counter() - t0) * 1e3
             errors = {}
             if gt is not None:

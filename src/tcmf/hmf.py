@@ -120,21 +120,25 @@ def hmf_solve(
     rank.  Every round ends corrected, so the estimate meets the
     orthogonality contract.
     """
-    mats = obs.matrices
     # the joint start, new arrays that share no memory with the warm start
     u, v = _start(obs, warm_start)
-    n, r1 = len(mats), obs.r1
-    # q_i, the reduced Householder Q of [M_i^T v_g[i] v_l[i]] (module docstring)
-    bases = [np.linalg.qr(np.hstack((m.T, vi)))[0] for m, vi in zip(mats, v)]
-    k = max(q.shape[1] for q in bases)
+    n, r1, r = obs.n_sources, obs.r1, obs.r1 + obs.r2
+    # q_i, the reduced Householder Q of [M_i^T v_g[i] v_l[i]] (module docstring),
+    # with min(n2_i, n1 + r) columns; one pass over the problem matrices M_i
+    k = max(min(m.shape[1], obs.n1 + r) for m in obs.matrices)
     m_q = np.zeros((n, obs.n1, k))
-    z = np.zeros((n, k, r1 + obs.r2))
-    for i, q in enumerate(bases):
-        m_q[i, :, : q.shape[1]] = mats[i] @ q
-        z[i, : q.shape[1]] = q.T @ v[i]
+    z = np.zeros((n, k, r))
+    bases, total = [], 0.0
+    for i, vi in enumerate(v):
+        m = obs.problem_matrix(i)
+        q = np.linalg.qr(np.hstack((m.T, vi)))[0]
+        bases.append(q)
+        m_q[i, :, : q.shape[1]] = m @ q
+        z[i, : q.shape[1]] = q.T @ vi
+        total += float(np.sum(m * m))
     eta = params.step_size
     penalty = _penalty(r1, obs.r2)
-    trace = ObjectiveTrace(objective_out, scale=0.5 * sum(float(np.sum(m * m)) for m in mats))
+    trace = ObjectiveTrace(objective_out, scale=0.5 * total)
 
     _correct(u, z, r1)
     # the corrected start's local bases meet the loops' rank rule, as perpca's start does

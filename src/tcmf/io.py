@@ -82,7 +82,10 @@ def read_matrix(path) -> np.ndarray:
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise CorruptDataError(f"{path}: expected {expected} bytes, found {size}")
-        m = np.empty((rows, cols), dtype="<f8")
+        try:
+            m = np.empty((rows, cols), dtype="<f8")
+        except ValueError as err:  # an empty shape whose dimension numpy cannot hold
+            raise CorruptDataError(f"{path}: header shape {rows} x {cols} is out of range") from err
         if fh.readinto(m.reshape(-1).view(np.uint8)) != m.nbytes:
             raise CorruptDataError(f"{path}: payload ends early")
     m = m.astype(np.float64, copy=False)  # a no-op on little-endian hosts

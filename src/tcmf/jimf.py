@@ -84,28 +84,33 @@ class ObjectiveTrace:
 
 def spectral_init(obs: ObservationSet) -> FactorEstimate:
     """Initialize factors from the data spectrum, working only on the n1 x n1
-    Gram stack C_i = M_i M_i^T (obs.grams).
+    Gram stack C_i = M_i M_i^T (obs.grams), M_i the problem matrices
+    (obs.problem_matrix).
 
     u_g holds the top r1 eigenvectors of sum_i C_i (the top left singular
     vectors of the concatenation [M_1 ... M_N]); u_l[i] the top r2
     eigenvectors of P C_i P with P = I - u_g u_g^T (those of source i after
     projecting out u_g).  Columns are signed by truncated_svd's rule, and the
-    v factors are the coefficient matrices M_i^T u.
+    v factors are the coefficient matrices M_i^T u, read in one pass over
+    the sources.
 
     Raises SingularityError when the data has numerical rank below r1: the
     singular values sigma_j = ||[M_1 ... M_N]^T u_g[:, j]|| (column norms of
     the stacked v_g) are all zero or sigma_r1 <= RANK_RTOL * sigma_1; and
     ContractViolationError when a Gram matrix M_i M_i^T overflows.
     """
-    mats, grams = obs.matrices, obs.grams
+    grams = obs.grams
     u_g = top_eigenvectors(grams.sum(axis=0), obs.r1)
-    v_g = [m.T @ u_g for m in mats]
+    p = np.eye(u_g.shape[0]) - u_g @ u_g.T
+    u_l = top_eigenvectors(p @ grams @ p, obs.r2)
+    v_g, v_l = [], []
+    for i, ul in enumerate(u_l):
+        m = obs.problem_matrix(i)
+        v_g.append(m.T @ u_g)
+        v_l.append(m.T @ ul)
     sigma = np.linalg.norm(np.concatenate(v_g), axis=0)
     if obs.r1 > 0 and (sigma[0] == 0.0 or sigma[-1] <= RANK_RTOL * sigma[0]):
         raise SingularityError("concatenated data has numerical rank below r1")
-    p = np.eye(u_g.shape[0]) - u_g @ u_g.T
-    u_l = top_eigenvectors(p @ grams @ p, obs.r2)
-    v_l = [m.T @ ul for m, ul in zip(mats, u_l)]
     return FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)
 
 

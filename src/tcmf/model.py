@@ -8,7 +8,7 @@ u_g^T u_l[i] = 0, and a sparse noise matrix s[i], held as its support
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -191,11 +191,17 @@ class ObservationSet:
     as_matrix converts them), plus the rank targets used to factor them.
     The ranks must fit every source: r1 + r2 <= n1 and r1 + r2 <= each
     source's column count.  The matrices stay a list, since their widths
-    may differ; their Gram stack is the (N, n1, n1) array grams."""
+    may differ.
+
+    The problem the solvers fit is the observations less a sparse part,
+    none on construction and one set by less(s).  Solvers read source i's
+    problem matrix through problem_matrix(i) and its Gram stack, the
+    (N, n1, n1) array grams, built from those matrices one at a time."""
 
     matrices: list
     r1: int
     r2: int
+    sparse: SparseParts | None = field(default=None, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", [as_matrix(m) for m in self.matrices])
@@ -213,6 +219,30 @@ class ObservationSet:
         if self.r1 + self.r2 > n2:
             raise DimensionError(f"need r1 + r2 <= {n2}, the narrowest source's width")
 
+    def less(self, s: SparseParts) -> "ObservationSet":
+        """The problem M less s: these observations, shared as they are
+        (not checked again), with s as the sparse part, in place of any this
+        set holds.  Raises DimensionError unless s has one part per source,
+        of that source's shape."""
+        shapes = tuple(m.shape for m in self.matrices)
+        if tuple(s.shapes) != shapes:
+            raise DimensionError(f"sparse part has shapes {tuple(s.shapes)}, expected {shapes}")
+        problem = object.__new__(ObservationSet)
+        problem.__dict__.update(matrices=self.matrices, r1=self.r1, r2=self.r2, sparse=s)
+        return problem
+
+    def problem_matrix(self, i: int) -> np.ndarray:
+        """Source i's problem matrix: M_i itself without a sparse part, else
+        a new copy of M_i, laid out like it, whose entries on the part's
+        support are m_ij - s_ij (built on each call)."""
+        m = self.matrices[i]
+        if self.sparse is None:
+            return m
+        idx = self.sparse.indices[i]
+        c = m.copy(order="K")
+        c.put(idx, m.take(idx) - self.sparse.values[i])
+        return c
+
     @property
     def n_sources(self) -> int:
         return len(self.matrices)
@@ -223,8 +253,13 @@ class ObservationSet:
 
     @cached_property
     def grams(self) -> np.ndarray:
-        """The stack of M_i M_i^T, built on first use, read-only; overflow raises ContractViolationError."""
-        grams = as_stack(np.stack([m @ m.T for m in self.matrices]))
+        """The stack of C_i C_i^T, C_i = problem_matrix(i), built on first
+        use one source at a time, read-only; overflow raises ContractViolationError."""
+        grams = np.empty((self.n_sources, self.n1, self.n1))
+        for i, g in enumerate(grams):
+            c = self.problem_matrix(i)
+            np.matmul(c, c.T, out=g)
+        grams = as_stack(grams)
         grams.flags.writeable = False
         return grams
 

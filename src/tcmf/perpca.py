@@ -104,8 +104,7 @@ def perpca_solve(
     every iteration, when all bases are orthonormal and the local ones are
     orthogonal to the shared one; the coefficients are read off the last.
     """
-    mats = obs.matrices
-    n, r1 = len(mats), obs.r1
+    n, r1 = obs.n_sources, obs.r1
     joint = _orthonormalize(_start(obs, warm_start)[0])
     covs = obs.grams
     scale = _lambda_max(covs)
@@ -130,4 +129,4 @@ def perpca_solve(
         if stop:
             break
 
-    return FactorEstimate.from_joint(joint, [m.T @ u for m, u in zip(mats, joint)], r1)
+    return FactorEstimate.from_joint(joint, [obs.problem_matrix(i).T @ u for i, u in enumerate(joint)], r1)

@@ -289,12 +289,13 @@ def _traced_peak_over_data(obs, cfg, gt):
 
 @pytest.mark.parametrize("policy", ["fresh_spectral", "carry_forward"])
 def test_run_holds_one_epochs_stacks_at_a_time(policy):
-    # beside the data and the truth, an epoch needs its cleaned data through
-    # the solve, then two scoring work arrays of one source each: about 1.5
-    # data-sizes here, where a source is a quarter of the data.  A loop that
-    # builds a dense sparse part to score it peaks at about 1.74; one that
-    # holds it through the solve, at about 2.6; one that keeps the last
-    # epoch's stacks and a list of reconstructions, at 4.5 or more
+    # beside the data and the truth, an epoch needs a few one-source arrays:
+    # a residual, a problem matrix, two scoring work arrays, where a source
+    # is a quarter of the data.  A loop that holds a cleaned copy of the data
+    # through the solve peaks at about 1.5 data-sizes; one that also builds
+    # a dense sparse part to score it, at about 1.74; one that holds that
+    # through the solve, at about 2.6; one that keeps the last epoch's stacks
+    # and a list of reconstructions, at 4.5 or more
     gt, obs, lam1 = _wide_instance()
     cfg = tiny_cfg(lam1, epochs=3, rho=0.9, params=PerpcaParams(step_size=0.1, iterations=5),
                    warm_start_policy=policy)
@@ -304,16 +305,41 @@ def test_run_holds_one_epochs_stacks_at_a_time(policy):
 @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no_truth"])
 @pytest.mark.parametrize("policy", ["fresh_spectral", "carry_forward"])
 def test_run_holds_one_data_sized_stack_beside_the_data(policy, with_truth):
-    # an epoch holds its sparse part as its support, so its solve holds one
-    # data-sized stack, the cleaned data, and no dense part is built: about
-    # 1.5 data-sizes on these ten small sources.  A loop that holds the
-    # dense sparse part beside the cleaned data reads 2.66 or more
+    # an epoch holds its sparse part as its support, so its solve holds at
+    # most one data-sized stack and no dense part is built.  A loop that
+    # holds a cleaned copy of the data reads about 1.5 data-sizes on these
+    # ten small sources; one that holds the dense sparse part beside it,
+    # 2.66 or more
     gt = generate(SynthConfig(n_sources=10, n1=20, n2=800, r1=2, r2=2,
                               noise_prob=0.01, noise_magnitude=100.0, seed=3))
     obs = assemble_observations(gt)
     cfg = tiny_cfg(initial_lambda(obs, "theoretical", identifiability_report(gt)), epochs=3, rho=0.9,
                    params=PerpcaParams(step_size=0.1, iterations=5), warm_start_policy=policy)
     assert _traced_peak_over_data(obs, cfg, gt if with_truth else None) <= 2.0
+
+
+@pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no_truth"])
+@pytest.mark.parametrize("params", [
+    PerpcaParams(step_size=0.1, iterations=5),
+    HmfParams(step_size=1e-5, iterations=5, beta=1e-5),
+], ids=["perpca", "hmf"])
+def test_run_solves_the_data_less_its_support_without_a_cleaned_copy(params, with_truth):
+    # an epoch solves obs.less(s_hat), whose problem matrices are built one
+    # source at a time, so no data-sized stack sits beside the data: perpca
+    # peaks at about 0.25 data-sizes above it on these 16 wide sources, hmf
+    # at its row-space bases (about 1.07 data-sizes) plus 0.37.  A loop that
+    # holds a cleaned copy of the data through the solve reads 1.18 and
+    # bases plus 1.29
+    gt = generate(SynthConfig(n_sources=16, n1=30, n2=2000, r1=1, r2=1,
+                              noise_prob=0.01, noise_magnitude=100.0, seed=3))
+    obs = assemble_observations(gt)
+    cfg = tiny_cfg(initial_lambda(obs, "theoretical", identifiability_report(gt)), epochs=2, rho=0.9,
+                   params=params)
+    data_bytes = sum(m.nbytes for m in obs.matrices)
+    bases_bytes = 0
+    if isinstance(params, HmfParams):
+        bases_bytes = sum(8 * m.shape[1] * min(m.shape[1], obs.n1 + obs.r1 + obs.r2) for m in obs.matrices)
+    assert _traced_peak_over_data(obs, cfg, gt if with_truth else None) < (bases_bytes + data_bytes / 2) / data_bytes
 
 
 def _with_signed_zeros(a, rng):
@@ -325,10 +351,10 @@ def _with_signed_zeros(a, rng):
 
 
 def test_support_form_gives_the_dense_threshold_bit_for_bit(uneven):
-    # _split's cleaned matrix, and the sparse part its support gives, read
-    # back dense, against the dense
-    # m - _threshold(r, lam) and _threshold(r, lam): values, signed zeros and
-    # the memory layout the solve's Gram stack reads
+    # the sparse part _split's support gives, read back dense, and the
+    # problem matrix of m less it, against the dense _threshold(r, lam) and
+    # m - _threshold(r, lam): values and signed zeros, and the problem
+    # matrix, which the solve's Gram stack reads, laid out like m
     rng = np.random.default_rng(11)
     cases = []
     for m in uneven.mats:
@@ -344,15 +370,16 @@ def test_support_form_gives_the_dense_threshold_bit_for_bit(uneven):
     cases += [(m, r, float(np.max(np.abs(r)))), (m, r, 1e300), (m, away_from_zero, 0.5)]
     sizes = []
     for m, r, lam in cases:
-        cleaned, idx, vals = alternating._split(m, r, lam)
+        idx, vals = alternating._split(r, lam)
         sizes.append(idx.size)
-        s = SparseParts((m.shape,), (idx,), (vals,))[0]
+        parts = SparseParts((m.shape,), (idx,), (vals,))
+        cleaned = ObservationSet([m], r1=0, r2=0).less(parts).problem_matrix(0)
         want_s = _threshold(r, lam)
         want_cleaned = m - want_s
-        for got, want in ((s, want_s), (cleaned, want_cleaned)):
+        for got, want in ((parts[0], want_s), (cleaned, want_cleaned)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert cleaned.flags.f_contiguous == want_cleaned.flags.f_contiguous
+        assert (cleaned.flags.c_contiguous, cleaned.flags.f_contiguous) == (m.flags.c_contiguous, m.flags.f_contiguous)
     assert sizes[-3:] == [0, 0, m.size]  # two empty supports and a full one
 
 
@@ -399,7 +426,7 @@ def test_run_builds_the_dense_sparse_part_only_where_it_is_read(monkeypatch, wit
     for i, m in enumerate(obs.matrices):
         want = hard_threshold(m - last_fit.reconstruction(i), traces[-1].lam)
         assert np.array_equal(s_hat[i], want)
-        assert np.array_equal(solves[-1][0].matrices[i], m - want)
+        assert np.array_equal(solves[-1][0].problem_matrix(i), m - want)
     n = obs.n_sources
     for epoch, t in enumerate(traces):
         assert t.wall_ms / 1e3 >= solves[epoch][2] - split_starts[epoch * n]

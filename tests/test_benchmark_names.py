@@ -1,4 +1,5 @@
-"""The benchmark's per-layer span metrics name tcmf functions that exist.
+"""The benchmark's per-layer span metrics name tcmf functions that exist,
+and the benchmark's smoke run passes.
 
 perfbench's tracer records a span per call of each public function as
 ``<module>.<function>``.  A per-layer metric whose function was renamed or
@@ -9,6 +10,8 @@ BENCHMARK.json and checks every such name against the package.
 import importlib
 import inspect
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,3 +65,12 @@ def test_exempt_names_are_declared_and_name_nothing():
     assert EXEMPT <= span_names()
     for name in sorted(EXEMPT):
         assert resolve(name) is None, f"{name} exists again; drop its exemption"
+
+
+def test_benchmark_smoke_run_passes():
+    # every workload, tiny, traced and untraced: a change that breaks what
+    # the benchmark binds (a function, its signature, an output) fails here
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "smoke: ok"

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface via main()."""
 
 import csv
+import struct
 import tracemalloc
 
 import numpy as np
@@ -166,10 +167,10 @@ class TestRun:
 
     def test_run_with_ground_truth_holds_no_dense_sparse_part(self, tmp_path):
         # tcmf run holds the data, the ground truth with its noise as
-        # supports, one cleaned stack and the solve's or the scoring's
-        # temporaries: about 2.5 data-sizes here.  Holding the truth's noise
-        # dense for the whole run and a dense sparse part each epoch adds
-        # about one data-size (3.5)
+        # supports and the solve's or the scoring's temporaries, with no
+        # cleaned copy of the data: about 1.6 data-sizes here (2.5 with that
+        # copy).  Holding the truth's noise dense for the whole run and a
+        # dense sparse part each epoch adds about one data-size more (3.5)
         cfg, out = synth(tmp_path, n_sources="10", n1="50", n2="1000", r1="3", r2="3",
                          noise_prob="0.01", noise_magnitude="100.0", backend="perpca",
                          step_size="0.1", epochs="3", inner_iterations="20")
@@ -300,6 +301,22 @@ class TestFailureExitCodes:
         assert main(["run", "--config", str(cfg), "--data", str(out),
                      "--out", str(trace)]) == EXIT_CORRUPT
         assert not trace.exists()
+
+    def test_header_shape_out_of_range_exits_65(self, tmp_path, capsys):
+        # a header with 0 columns passes the size check at any row count;
+        # every command that reads the file reports invalid data
+        cfg, out = synth(tmp_path)
+        gt = io.load_ground_truth(out, int(BASE_CONFIG["n_sources"]))
+        io.save_estimates(out, gt, gt.s)
+        (out / "U_G.mat").write_bytes(io.MAGIC + struct.pack("<QQ", 2**63, 0))
+        trace = tmp_path / "trace.csv"
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--data", str(out),
+                     "--out", str(trace)]) == EXIT_CORRUPT
+        assert main(["check", "--data", str(out)]) == EXIT_CORRUPT
+        assert main(["metrics", "--data", str(out)]) == EXIT_CORRUPT
+        assert not trace.exists()
+        assert capsys.readouterr().err.count("out of range") == 3
 
     def test_data_whose_gram_matrices_overflow_exits_65(self, tmp_path, capsys):
         cfg, out = synth(tmp_path, backend="perpca", step_size="0.1",

@@ -1,4 +1,5 @@
 from dataclasses import fields
+import struct
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ def test_read_matrix_rejects_bad_magic(tmp_path):
     raw[:8] = b"NOTMYFMT"
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptDataError):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("rows", [2**63, 2**64 - 1, 2**61])
+def test_read_matrix_rejects_a_header_shape_out_of_range(tmp_path, rows):
+    # with 0 columns the header-only file passes the size check, but numpy
+    # cannot allocate a dimension this large
+    path = tmp_path / "m.mat"
+    path.write_bytes(MAGIC + struct.pack("<QQ", rows, 0))
+    with pytest.raises(CorruptDataError, match="out of range"):
         read_matrix(path)
 
 

@@ -381,6 +381,59 @@ def test_sparse_parts_round_trip_bit_for_bit(mats):
     assert parts[0] is not first and np.array_equal(parts[0], np.where(mats[0] == 0.0, 0.0, mats[0]))
 
 
+gram_values = st.sampled_from([0.0, -0.0, 1.5, -2.0, 5e-324, 1e150])
+
+
+@st.composite
+def problems_less_parts(draw):
+    # sources of one row count and their own widths, C- or Fortran-ordered,
+    # each with a random support whose values may be signed zeros; no entry
+    # is large enough for a Gram matrix to overflow
+    n1 = draw(st.integers(1, 5))
+    mats, indices, values = [], [], []
+    for width in draw(st.lists(st.integers(0, 7), min_size=1, max_size=4)):
+        m = draw(hnp.arrays(np.float64, (n1, width), elements=gram_values))
+        mats.append(np.asfortranarray(m) if draw(st.booleans()) else m)
+        idx = np.array(sorted(draw(st.sets(st.integers(0, max(m.size - 1, 0)), max_size=m.size))), dtype=np.intp)
+        indices.append(idx)
+        values.append(draw(hnp.arrays(np.float64, idx.shape, elements=gram_values)))
+    return mats, SparseParts(tuple(m.shape for m in mats), tuple(indices), tuple(values))
+
+
+@given(problems_less_parts())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_problem_matrices_are_the_data_less_the_part_bit_for_bit(case):
+    # each problem matrix is m - s[i], values and sign bits, laid out like m
+    # and new on each read, and the Gram stack built source by source equals
+    # the stack of per-source products c c^T bit for bit
+    mats, parts = case
+    obs = ObservationSet(mats, r1=0, r2=0)
+    assert obs.problem_matrix(0) is obs.matrices[0]
+    problem = obs.less(parts)
+    assert problem.matrices is obs.matrices and problem.sparse is parts
+    cleaned = [problem.problem_matrix(i) for i in range(problem.n_sources)]
+    for c, m, s in zip(cleaned, mats, parts, strict=True):
+        want = m - s
+        assert c.shape == want.shape and c is not m
+        assert np.array_equal(c.view(np.uint64), want.view(np.uint64))
+        assert (c.flags.c_contiguous, c.flags.f_contiguous) == (m.flags.c_contiguous, m.flags.f_contiguous)
+    want_grams = np.stack([c @ c.T for c in cleaned])
+    assert np.array_equal(problem.grams.view(np.uint64), want_grams.view(np.uint64))
+    assert not problem.grams.flags.writeable
+
+
+def test_less_checks_the_part_fits_and_replaces_any_held():
+    obs = ObservationSet([np.ones((2, 3)), np.ones((2, 4))], r1=1, r2=0)
+    parts = SparseParts.from_dense([np.eye(2, 3), np.zeros((2, 4))])
+    for bad in (SparseParts.from_dense([np.eye(2, 3)]), SparseParts.from_dense([np.eye(2, 3), np.eye(2, 3)])):
+        with pytest.raises(DimensionError):
+            obs.less(bad)
+    twice = obs.less(SparseParts.from_dense([np.ones((2, 3)), np.ones((2, 4))])).less(parts)
+    assert np.array_equal(twice.problem_matrix(0), np.ones((2, 3)) - np.eye(2, 3))
+    assert twice.problem_matrix(1) is not obs.matrices[1]
+    assert np.array_equal(twice.grams, obs.less(parts).grams)
+
+
 @pytest.mark.parametrize("idx, vals, error", [
     (np.array([[0, 1]]), np.array([[1.0, 2.0]]), DimensionError),
     (np.array([0, 4, 5]), np.array([7.0]), DimensionError),  # np.put would repeat 7.0
