@@ -37,8 +37,11 @@ EXIT_MISSING = 66
 
 def cli_synth(config_path, out_dir, seed: int | None = None) -> int:
     rc = io.load_run_config(config_path)
-    gt = generate(rc if seed is None else replace(rc, seed=seed))
-    obs = assemble_observations(gt)
+    try:
+        gt = generate(rc if seed is None else replace(rc, seed=seed))
+        obs = assemble_observations(gt)
+    except MemoryError as err:
+        raise ConfigurationError(f"{rc.n_sources} x {rc.n1} x {rc.n2} entries do not fit in memory") from err
     report = identifiability_report(gt)
     io.save_dataset(out_dir, gt, obs, report)
     print(f"wrote {obs.n_sources} sources under {out_dir}")

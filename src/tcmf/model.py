@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, DimensionError
-from .numerics import ThinSVD, as_matrix, as_stack, linf, projection_onto, sign_fixed_qr, truncated_svd
+from .numerics import as_matrix, as_stack, check_orthonormal, column_basis, linf, projector, sign_fixed_qr, truncated_svd
 
 INCOHERENCE_ORTHO_TOL = 1e-8
 SIGMA_NONZERO_RTOL = 1e-12
@@ -323,26 +323,28 @@ def _sparsity(shape: tuple, idx: np.ndarray) -> float:
 
 def measure_incoherence(u) -> float:
     """mu such that max_i ||e_i^T u||_2 = mu * sqrt(r) / sqrt(n) for u (n, r)."""
-    u = as_matrix(u)
-    n, r = u.shape
-    if r == 0:
-        return 0.0
-    if linf(u.T @ u - np.eye(r)) > INCOHERENCE_ORTHO_TOL:
-        raise ContractViolationError("incoherence is defined for orthonormal columns")
-    row_norms = np.linalg.norm(u, axis=1)
-    return float(row_norms.max() * np.sqrt(n) / np.sqrt(r))
+    return _incoherence(check_orthonormal(as_matrix(u), INCOHERENCE_ORTHO_TOL))
+
+
+def _incoherence(u) -> float:
+    # measure_incoherence, the largest over a stack, of columns already checked
+    # orthonormal; the largest row norm is the root of the largest squared one
+    n, r = u.shape[-2:]
+    return math.sqrt((u * u).sum(-1).max()) * math.sqrt(n) / math.sqrt(r) if r else 0.0
 
 
 def measure_misalignment(u_l) -> float:
-    """theta = 1 - lambda_max of the averaged projector onto the local spans.
+    """theta = 1 - lambda_max of the averaged projector onto the local spans
+    of u_l, a stack (N, n1, r2) or a list of equal-shaped matrices.
 
     theta = 0 means some direction is shared by every local subspace; larger
     theta means the local subspaces point different ways, which is what lets
-    the shared component be told apart from the local ones.
+    the shared component be told apart from the local ones.  One SVD of the
+    stack gives the bases; their projectors are summed one at a time.
     """
     if not len(u_l):
         raise DimensionError("need at least one local factor")
-    avg = sum(projection_onto(u) for u in u_l) / len(u_l)
+    avg = sum(map(projector, column_basis(u_l))) / len(u_l)
     top = float(np.linalg.eigvalsh((avg + avg.T) / 2.0)[-1])
     return min(max(1.0 - top, 0.0), 1.0)
 
@@ -356,36 +358,28 @@ def identifiability_report(gt: GroundTruth) -> IdentifiabilityReport:
     values across all low-rank components.  No product u v^T is formed:
     with thin QRs u = Q_u R_u, v = Q_v R_v (neither need be orthonormal),
     its singular triplets are those of the core R_u R_v^T, with the vectors
-    mapped back through Q_u and Q_v.
+    mapped back through Q_u and Q_v.  Each part works on the (N, r, r) core
+    stack; only v's QR and factor stay per source, as v follows its width.
     """
     alpha = max(map(_sparsity, gt.s.shapes, gt.s.indices), default=0.0)
-    mus = []
-    sigmas = []
-    qr_g = np.linalg.qr(gt.u_g)
-    for i in range(gt.n_sources):
-        for (q_u, r_u), v in ((qr_g, gt.v_g[i]), (np.linalg.qr(gt.u_l[i]), gt.v_l[i])):
-            rank = r_u.shape[1]
-            if rank == 0:
-                continue
-            q_v, r_v = np.linalg.qr(v)
-            # the core is min(n1, rank) x min(n2, rank): a rank above min(n1, n2) raises
-            core = truncated_svd(r_u @ r_v.T, rank)
-            svd = ThinSVD(u=q_u @ core.u, sigma=core.sigma, v=q_v @ core.v)
-            mus.append(measure_incoherence(svd.u))
-            mus.append(measure_incoherence(svd.v))
-            sigmas.extend(svd.sigma.tolist())
-    theta = measure_misalignment(gt.u_l)
-    if sigmas:
-        arr = np.asarray(sigmas)
-        sigma_max = float(arr.max())
-        nonzero = arr[arr > SIGMA_NONZERO_RTOL * max(sigma_max, 1.0)]
-        sigma_min = float(nonzero.min()) if nonzero.size else 0.0
-    else:
-        sigma_max = sigma_min = 0.0
+    mus, sigmas = [], []
+    for u, vs in ((gt.u_g, gt.v_g), (gt.u_l, gt.v_l)):
+        n1, rank = u.shape[-2:]
+        if rank > min(n1, *(v.shape[0] for v in vs)):
+            raise DimensionError(f"rank {rank} out of range for n1 = {n1} and the narrowest source")
+        q_u, r_u = np.linalg.qr(u)
+        qr_v = [np.linalg.qr(v) for v in vs]
+        core = truncated_svd(r_u @ np.swapaxes([r_v for _, r_v in qr_v], -1, -2), rank)
+        mus.append(_incoherence(check_orthonormal(q_u @ core.u)))
+        mus.extend(_incoherence(check_orthonormal(q_v @ c_v)) for (q_v, _), c_v in zip(qr_v, core.v))
+        sigmas.append(core.sigma.ravel())
+    sigmas = np.concatenate(sigmas)
+    sigma_max = float(sigmas.max(initial=0.0))
+    nonzero = sigmas[sigmas > SIGMA_NONZERO_RTOL * max(sigma_max, 1.0)]
     return IdentifiabilityReport(
         alpha=alpha,
-        mu=max(mus, default=0.0),
-        theta=theta,
+        mu=max(mus),
+        theta=measure_misalignment(gt.u_l),
         sigma_max=sigma_max,
-        sigma_min=sigma_min,
+        sigma_min=float(nonzero.min()) if nonzero.size else 0.0,
     )

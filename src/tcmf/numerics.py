@@ -37,12 +37,12 @@ def as_matrix(a) -> np.ndarray:
 
 def linf(a) -> float:
     """Largest absolute entry; 0 for empty arrays."""
-    return float(np.max(np.abs(a), initial=0.0))
+    return float(np.abs(a).max(initial=0.0))
 
 
 @dataclass(frozen=True)
 class ThinSVD:
-    """Top-k singular triplets: u is (n, k), sigma is (k,), v is (m, k).
+    """Top-k singular triplets u (..., n, k), sigma (..., k), v (..., m, k), one set per stacked matrix.
 
     Columns of u and v are orthonormal and sigma is nonnegative and
     nonincreasing; violations are rejected at construction.
@@ -53,34 +53,40 @@ class ThinSVD:
     v: np.ndarray
 
     def __post_init__(self):
-        k = self.sigma.shape[0]
-        if self.u.ndim != 2 or self.v.ndim != 2 or self.sigma.ndim != 1:
+        lead, k = self.sigma.shape[:-1], self.sigma.shape[-1:]
+        if not (self.u.ndim == self.v.ndim == self.sigma.ndim + 1 >= 2 and self.u.shape[:-2] == self.v.shape[:-2] == lead):
             raise DimensionError("ThinSVD parts have wrong dimensionality")
-        if self.u.shape[1] != k or self.v.shape[1] != k:
+        if self.u.shape[-1:] != k or self.v.shape[-1:] != k:
             raise DimensionError("factor widths disagree with sigma length")
-        if k and (np.any(np.diff(self.sigma) > 0) or self.sigma[-1] < 0):
+        if np.any(np.diff(self.sigma) > 0) or np.any(self.sigma[..., -1:] < 0):
             raise ContractViolationError("sigma must be nonnegative and nonincreasing")
-        for f in (self.u, self.v):
-            if k and linf(f.T @ f - np.eye(k)) > ORTHO_TOL:
-                raise ContractViolationError("singular vectors are not orthonormal")
+        check_orthonormal(self.u)
+        check_orthonormal(self.v)
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
+        return (self.u * self.sigma[..., None, :]) @ np.swapaxes(self.v, -1, -2)
+
+
+def check_orthonormal(f, tol: float = ORTHO_TOL) -> np.ndarray:
+    """Return f (..., n, k) if every f^T f is within tol of I entrywise, else raise ContractViolationError."""
+    if linf(np.swapaxes(f, -1, -2) @ f - np.eye(f.shape[-1])) > tol:
+        raise ContractViolationError("columns are not orthonormal")
+    return f
 
 
 def truncated_svd(m, k: int) -> ThinSVD:
-    """Best rank-k approximation factors of m.
+    """Best rank-k approximation factors of m, or of each matrix of a stack (..., n, m).
 
     Sign convention: the largest-magnitude entry of each left singular vector
     is made positive (ties broken by first index), so repeated calls on the
     same input give bit-identical factors.
     """
-    m = as_matrix(m)
-    if not 0 <= k <= min(m.shape):
+    m = as_stack(m)
+    if not 0 <= k <= min(m.shape[-2:]):
         raise DimensionError(f"k={k} out of range for shape {m.shape}")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    signs = _pivot_signs(u[:, :k])
-    return ThinSVD(u=u[:, :k] * signs, sigma=s[:k], v=vt[:k].T * signs)
+    signs = _pivot_signs(u[..., :k])
+    return ThinSVD(u=u[..., :k] * signs, sigma=s[..., :k], v=np.swapaxes(vt[..., :k, :], -1, -2) * signs)
 
 
 def top_eigenvectors(c, k: int) -> np.ndarray:
@@ -129,13 +135,20 @@ def _inv_cholesky(gram: np.ndarray) -> np.ndarray:
 
 
 def projection_onto(u) -> np.ndarray:
-    """Orthogonal projector onto the column space of full-column-rank u."""
-    u = as_matrix(u)
-    n, r = u.shape
-    if r == 0:
-        return np.zeros((n, n))
-    q, s, _ = np.linalg.svd(u, full_matrices=False)
-    if s[-1] <= RANK_RTOL * s[0]:
+    """Orthogonal projector onto the column space of full-column-rank u, or of each stacked matrix."""
+    return projector(column_basis(u))
+
+
+def column_basis(u) -> np.ndarray:
+    """Left singular vectors (..., n, r) of u, an orthonormal basis of the column space of it or
+    of each stacked matrix; SingularityError unless every matrix has full column rank."""
+    q, s, _ = np.linalg.svd(as_stack(u), full_matrices=False)
+    if s.shape[-1] and np.any(s[..., -1] <= RANK_RTOL * s[..., 0]):
         raise SingularityError("projection requires full column rank")
-    p = q @ q.T
-    return (p + p.T) / 2.0
+    return q
+
+
+def projector(q) -> np.ndarray:
+    """q q^T, made exactly symmetric, for orthonormal columns q (..., n, r)."""
+    p = q @ np.swapaxes(q, -1, -2)
+    return (p + np.swapaxes(p, -1, -2)) / 2.0

@@ -287,6 +287,16 @@ class TestFailureExitCodes:
         assert not (tmp_path / "bad").exists()
         assert capsys.readouterr().err.count("configuration error:") == 2
 
+    def test_synth_too_large_to_allocate_exits_64(self, tmp_path, capsys):
+        # 3 x 10 x 1e13 float64 entries exceed the address space, so the
+        # first data-sized allocation fails at once and nothing is allocated
+        cfg = write_config(tmp_path / "huge.cfg", n2=10**13)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "huge")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: 3 x 10 x 10000000000000 ")
+        assert not (tmp_path / "huge").exists()
+
     def test_corrupted_matrix_exits_65(self, tmp_path):
         cfg, out = synth(tmp_path)
         path = out / "M_2.mat"

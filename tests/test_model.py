@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis.extra import numpy as hnp
 from tcmf import (
     FactorEstimate,
     GroundTruth,
+    IdentifiabilityReport,
     ObservationSet,
     SparseParts,
     SynthConfig,
+    ThinSVD,
     assemble_observations,
     generate,
     hmf_correct,
@@ -19,12 +22,13 @@ from tcmf import (
     measure_incoherence,
     measure_misalignment,
     measure_sparsity,
+    projection_onto,
     spectral_init,
     truncated_svd,
 )
 from tcmf.errors import ConfigurationError, ContractViolationError, DimensionError, SingularityError
 
-from conftest import orth
+from conftest import TinyInstance, orth
 
 
 def small_cfg(**overrides):
@@ -325,16 +329,105 @@ def test_identifiability_report_matches_dense_products(u_scale):
 
 
 def test_identifiability_report_rejects_rank_above_the_product_size():
-    gt = GroundTruth(u_g=np.eye(3), v_g=[np.ones((2, 3))], u_l=[np.zeros((3, 0))],
-                     v_l=[np.zeros((2, 0))], s=[np.zeros((3, 2))])
-    with pytest.raises(DimensionError, match="out of range"):
-        identifiability_report(gt)
+    # one source, and one narrow source beside a wide one, whose cores
+    # could not share a stack
+    for widths in ([2], [4, 2]):
+        gt = GroundTruth(u_g=np.eye(3), v_g=[np.ones((w, 3)) for w in widths],
+                         u_l=[np.zeros((3, 0))] * len(widths), v_l=[np.zeros((w, 0)) for w in widths],
+                         s=[np.zeros((3, w)) for w in widths])
+        with pytest.raises(DimensionError, match="out of range"):
+            identifiability_report(gt)
 
 
 def test_identifiability_report_single_source_theta_zero():
     gt = generate(small_cfg(n_sources=1))
     rep = identifiability_report(gt)
     assert rep.theta == pytest.approx(0.0, abs=1e-12)
+
+
+def per_source_report(gt):
+    """The report as a loop over sources: per product, a QR of each factor,
+    truncated_svd of the core, ThinSVD of the mapped factors and
+    measure_incoherence of each; theta from a sum of projection_onto."""
+    mus, sigmas = [], []
+    for i in range(gt.n_sources):
+        for u, v in ((gt.u_g, gt.v_g[i]), (gt.u_l[i], gt.v_l[i])):
+            if u.shape[1] == 0:
+                continue
+            (q_u, r_u), (q_v, r_v) = np.linalg.qr(u), np.linalg.qr(v)
+            core = truncated_svd(r_u @ r_v.T, u.shape[1])
+            svd = ThinSVD(u=q_u @ core.u, sigma=core.sigma, v=q_v @ core.v)
+            mus += [measure_incoherence(svd.u), measure_incoherence(svd.v)]
+            sigmas += svd.sigma.tolist()
+    avg = sum(projection_onto(u) for u in gt.u_l) / gt.n_sources
+    theta = min(max(1.0 - float(np.linalg.eigvalsh((avg + avg.T) / 2.0)[-1]), 0.0), 1.0)
+    sigma_max = max(sigmas, default=0.0)
+    nonzero = [s for s in sigmas if s > 1e-12 * max(sigma_max, 1.0)]
+    return IdentifiabilityReport(alpha=max(measure_sparsity(s) for s in gt.s), mu=max(mus, default=0.0),
+                                 theta=theta, sigma_max=sigma_max, sigma_min=min(nonzero, default=0.0))
+
+
+def _spiked_truth(inst, scale=1.0):
+    # the instance's factors, u scaled, plus a few spikes per source
+    rng = np.random.default_rng(1)
+    s = [np.where(rng.random(m.shape) < 0.05, 10.0, 0.0) for m in inst.mats]
+    return GroundTruth(u_g=scale * inst.u_g, v_g=inst.v_g, u_l=[scale * u for u in inst.u_l], v_l=inst.v_l, s=s)
+
+
+@pytest.mark.parametrize("case", ["tiny", "uneven", "r1_zero", "r2_zero", "single", "scaled"])
+def test_identifiability_report_equals_the_per_source_loop_bit_for_bit(request, case):
+    # every field sets lambda1 and so every later bit of a run: the stacked
+    # report must equal the loop over sources exactly, unequal widths included
+    inst = {
+        "tiny": lambda: request.getfixturevalue("tiny"),
+        "uneven": lambda: request.getfixturevalue("uneven"),
+        "r1_zero": lambda: TinyInstance(seed=5, r1=0, r2=3),
+        "r2_zero": lambda: TinyInstance(seed=6, r1=3, r2=0),
+        "single": lambda: TinyInstance(seed=7, n=1),
+        "scaled": lambda: TinyInstance(seed=9, n=5, n1=20, n2=[60, 41, 60, 33, 50], r1=3, r2=2),
+    }[case]()
+    gt = _spiked_truth(inst, scale=3.0 if case == "scaled" else 1.0)
+    got = identifiability_report(gt)
+    assert got == per_source_report(gt)
+    assert got.alpha > 0.0 and got.mu >= 1.0 and got.sigma_max > 0.0
+
+
+def _recorded_lapack_calls(monkeypatch, gt):
+    calls = {"svd": 0, "qr": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    identifiability_report(gt)
+    monkeypatch.undo()
+    return calls
+
+
+def test_identifiability_report_decomposes_stacks_not_sources(monkeypatch):
+    # the cores, the left factors and the local bases are decomposed as
+    # stacks: the SVD count does not grow with N, and the QR count grows by
+    # the two per-source QRs of v_g[i] and v_l[i] only
+    small, large = (_recorded_lapack_calls(monkeypatch, generate(small_cfg(n_sources=n))) for n in (2, 8))
+    assert small["svd"] == large["svd"]
+    assert large["qr"] - small["qr"] <= 2 * (8 - 2)
+
+
+def test_identifiability_report_stays_within_the_data_size():
+    # theta sums the per-source projectors one at a time: on tall sources
+    # the report never holds an (N, n1, n1) stack of them
+    gt = generate(SynthConfig(n_sources=8, n1=200, n2=50, r1=3, r2=3,
+                              noise_prob=0.01, noise_magnitude=10.0, seed=2))
+    tracemalloc.start()
+    try:
+        identifiability_report(gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gt.n_sources * gt.u_g.shape[0] ** 2 * 8
 
 
 part_values = st.sampled_from([0.0, -0.0, 1.5, -2.0, 5e-324, 1e300])

@@ -193,3 +193,62 @@ def test_hmf_correct_rejects_a_shared_factor_that_is_not_finite(bad):
                          u_l=[rng.standard_normal((6, 1))], v_l=[rng.standard_normal((5, 1))])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractViolationError):
         hmf_correct(est, 0)
+
+
+def test_truncated_svd_stack_matches_slices_bitwise():
+    rng = np.random.default_rng(14)
+    stack = rng.standard_normal((5, 4, 6))
+    out = truncated_svd(stack, 3)
+    assert (out.u.shape, out.sigma.shape, out.v.shape) == ((5, 4, 3), (5, 3), (5, 6, 3))
+    for i in range(5):
+        one = truncated_svd(stack[i], 3)
+        assert np.array_equal(out.u[i], one.u)
+        assert np.array_equal(out.sigma[i], one.sigma)
+        assert np.array_equal(out.v[i], one.v)
+        assert np.array_equal(out.reconstruct()[i], one.reconstruct())
+    assert truncated_svd(stack, 0).u.shape == (5, 4, 0)
+
+
+def test_projection_onto_stack_matches_slices_bitwise():
+    rng = np.random.default_rng(15)
+    stack = rng.standard_normal((4, 7, 2))
+    p = projection_onto(stack)
+    assert p.shape == (4, 7, 7)
+    for i in range(4):
+        assert np.array_equal(p[i], projection_onto(stack[i]))
+    assert np.array_equal(projection_onto(np.zeros((3, 5, 0))), np.zeros((3, 5, 5)))
+
+
+def test_stacks_with_one_bad_slice_still_raise():
+    rng = np.random.default_rng(16)
+    stack = rng.standard_normal((3, 6, 2))
+    with pytest.raises(DimensionError, match="out of range"):
+        truncated_svd(stack, 3)
+    bad = stack.copy()
+    bad[1, 2, 0] = np.nan
+    for f in (lambda a: truncated_svd(a, 1), projection_onto):
+        with pytest.raises(ContractViolationError):
+            f(bad)
+    bad = stack.copy()
+    bad[2, :, 1] = 2.0 * bad[2, :, 0]  # rank-deficient last slice
+    with pytest.raises(SingularityError):
+        projection_onto(bad)
+
+
+def test_thinsvd_validates_every_slice_of_a_stack():
+    u = np.stack([np.eye(3)[:, :2]] * 3)
+    v = np.stack([np.eye(4)[:, :2]] * 3)
+    sigma = np.array([[2.0, 1.0]] * 3)
+    ThinSVD(u=u, sigma=sigma, v=v)
+    bad = u.copy()
+    bad[2] *= 1.5
+    with pytest.raises(ContractViolationError):
+        ThinSVD(u=bad, sigma=sigma, v=v)
+    rising = sigma.copy()
+    rising[1] = [1.0, 2.0]
+    with pytest.raises(ContractViolationError):
+        ThinSVD(u=u, sigma=rising, v=v)
+    with pytest.raises(DimensionError):
+        ThinSVD(u=u, sigma=sigma[:2], v=v)
+    with pytest.raises(DimensionError):
+        ThinSVD(u=u[0], sigma=sigma, v=v)
