@@ -8,11 +8,11 @@ Epoch t (estimates start at zero):
     lambda_{t+1} = rho * lambda_t + epsilon
 
 The noise is sparse, so an epoch holds s_hat as SparseParts, per source the
-flat indices and values of the entries above lambda_t, as the ground truth
-holds its noise.  The solve fits obs.less(s_hat), which builds each source's
-M_i - s_hat[i] only when a solver reads it, so beside the data an epoch holds
-no data-sized stack.  No dense s_hat is built: scoring reads the supports as
-they are.
+flat indices and values of the entries above lambda_t (SparseParts.from_dense,
+one residual at a time), as the ground truth holds its noise.  The solve fits
+obs.less(s_hat), which builds each source's M_i - s_hat[i] only when a solver
+reads it, so beside the data an epoch holds no data-sized stack.  No dense
+s_hat is built: scoring reads the supports as they are.
 """
 
 import time
@@ -25,7 +25,7 @@ from .jimf import solve
 from .metrics import recovery_errors
 from .model import FactorEstimate, GroundTruth, ObservationSet, SparseParts
 from .numerics import as_matrix, truncated_svd
-from .thresholding import LambdaSchedule, _threshold, next_lambda
+from .thresholding import LambdaSchedule, next_lambda
 
 WARM_START_POLICIES = ("carry_forward", "fresh_spectral")
 
@@ -74,13 +74,6 @@ def _support_violations(s_hat: SparseParts, truth: SparseParts) -> int:
     return violations
 
 
-def _split(r: np.ndarray, lam: float):
-    # _threshold(r, lam) in support form: the C-order flat indices and values
-    # of the entries above lam
-    idx = np.flatnonzero(np.abs(r) > lam)
-    return idx, r.take(idx)
-
-
 def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     """Run the alternating loop and return (factors, sparse part, traces).
 
@@ -89,21 +82,19 @@ def run(obs: ObservationSet, cfg: TcmfConfig, gt: GroundTruth | None = None):
     Backend divergence propagates with the completed epoch traces attached
     to the raised error.
 
-    Each epoch holds its sparse part as SparseParts, the supports _split
-    took (flat indices and values per source), and solves obs.less(s_hat);
+    Each epoch holds its sparse part as SparseParts.from_dense takes it at
+    lambda_t (flat indices and values per source), and solves obs.less(s_hat);
     the last epoch's part is returned, with or without ground truth.  No
     dense sparse part is built; reading s_hat[i] builds one.
     """
     est: FactorEstimate | None = None
     traces: list[EpochTrace] = []
     lam = cfg.schedule.lambda1
-    shapes = tuple(m.shape for m in obs.matrices)
     try:
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
-            idx, vals = zip(*[_split(m if est is None else m - est.reconstruction(i), lam)
-                              for i, m in enumerate(obs.matrices)])
-            s_hat = SparseParts(shapes, idx, vals)
+            residuals = (m if est is None else m - est.reconstruction(i) for i, m in enumerate(obs.matrices))
+            s_hat = SparseParts.from_dense(residuals, lam)
             if cfg.warm_start_policy != "carry_forward":
                 est = None  # spent: a fresh start reads only the problem
             est = solve(obs.less(s_hat), cfg.params, est)
@@ -127,10 +118,9 @@ def rpca_baseline(m, r: int, schedule: LambdaSchedule, epochs: int):
     if epochs < 1:
         raise ConfigurationError("epochs must be positive")
     low = np.zeros_like(m)
-    sparse = np.zeros_like(m)
     lam = schedule.lambda1
     for _ in range(epochs):
-        sparse = _threshold(m - low, lam)
+        sparse = SparseParts.from_dense([m - low], lam)[0]
         low = truncated_svd(m - sparse, r).reconstruct()
         lam = next_lambda(schedule, lam)
     return low, sparse

@@ -40,7 +40,9 @@ def cli_synth(config_path, out_dir, seed: int | None = None) -> int:
     try:
         gt = generate(rc if seed is None else replace(rc, seed=seed))
         obs = assemble_observations(gt)
-    except MemoryError as err:
+    except TcmfError:
+        raise
+    except (MemoryError, ValueError) as err:  # ValueError: a shape numpy cannot hold
         raise ConfigurationError(f"{rc.n_sources} x {rc.n1} x {rc.n2} entries do not fit in memory") from err
     report = identifiability_report(gt)
     io.save_dataset(out_dir, gt, obs, report)

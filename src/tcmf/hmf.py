@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, SingularityError
+from .errors import ConfigurationError, ContractViolationError, DimensionError, SingularityError
 from .jimf import ObjectiveTrace, _penalty, _start, _terms
 from .model import FactorEstimate, ObservationSet
 from .numerics import _inv_cholesky, as_matrix
@@ -57,29 +57,32 @@ class HmfParams:
 
 
 def hmf_objective(est: FactorEstimate, matrices, beta: float) -> float:
-    """Evaluate the objective above at the given estimate."""
+    """Evaluate the objective above at the given estimate (DimensionError unless the matrices fit it)."""
+    mats = [as_matrix(m) for m in matrices]
+    est.check_fits([m.shape for m in mats], "hmf_objective matrices")
     penalty = _penalty(est.r1, est.r2)
-    sources = zip(*est.joint(), matrices, strict=True)
-    return float(sum(_terms(u, v, as_matrix(m), beta, penalty)[0] for u, v, m in sources))
+    return float(sum(_terms(u, v, m, beta, penalty)[0] for u, v, m in zip(*est.joint(), mats)))
 
 
 def hmf_gradients(est: FactorEstimate, source_index: int, matrix, beta: float):
     """Gradient blocks (u_g, v_g, u_l, v_l) of the source's term, as jimf._terms computes them."""
+    m = as_matrix(matrix)
+    if not 0 <= source_index < est.n_sources or m.shape != (est.u_g.shape[0], est.v_g[source_index].shape[0]):
+        raise DimensionError(f"source_index {source_index} and a {m.shape} matrix do not fit {est.n_sources} sources")
     r1 = est.r1
     u, v = est.joint()
-    _, g_u, g_v = _terms(u[source_index], v[source_index], as_matrix(matrix), beta, _penalty(r1, est.r2))
+    _, g_u, g_v = _terms(u[source_index], v[source_index], m, beta, _penalty(r1, est.r2))
     return g_u[:, :r1], g_v[:, :r1], g_u[:, r1:], g_v[:, r1:]
 
 
 def _correct(u, v, r1):
-    # the correction, in place, on joint factors u = [u_g u_l] and v = [v_g v_l],
-    # or on (N, ., .) stacks of them whose first r1 columns of u are one shared
-    # u_g: u_l loses its component along u_g and v_g absorbs the shift
-    # g = (u_g^T u_g)^-1 u_g^T u_l, so u v^T is unchanged up to round-off.  One
-    # _inv_cholesky of the shared Gram matrix serves all sources and may raise
+    # the correction, in place, on (N, ., .) stacks of joint factors u = [u_g u_l] and
+    # v = [v_g v_l] sharing u_g = u[0, :, :r1]: u_l loses its component along u_g and v_g
+    # absorbs the shift g = (u_g^T u_g)^-1 u_g^T u_l, so u v^T is unchanged up to round-off.
+    # One _inv_cholesky of the shared Gram matrix serves all sources and may raise
     if r1 == 0:
         return
-    u_g = u[..., :r1] if u.ndim == 2 else u[0, :, :r1]
+    u_g = u[0, :, :r1]
     inv = _inv_cholesky(u_g.T @ u_g)
     g = inv.T @ (inv @ (u_g.T @ u[..., r1:]))
     u[..., r1:] -= u_g @ g
@@ -87,12 +90,14 @@ def _correct(u, v, r1):
 
 
 def hmf_correct(est: FactorEstimate, source_index: int) -> FactorEstimate:
-    """Restore u_g^T u_l[i] = 0 for one source without moving its
-    reconstruction: u_l[i] loses its component along u_g and v_g[i] absorbs
-    the matching coefficient shift.  Raises SingularityError unless u_g has
-    full column rank, ContractViolationError unless its Gram matrix is finite."""
+    """Restore u_g^T u_l[i] = 0 for one source without moving its reconstruction:
+    u_l[i] loses its component along u_g and v_g[i] absorbs the matching coefficient
+    shift.  Raises DimensionError for a missing source, SingularityError unless u_g
+    has full column rank, ContractViolationError unless its Gram matrix is finite."""
+    if not 0 <= source_index < est.n_sources:
+        raise DimensionError(f"source_index {source_index} out of range for {est.n_sources} sources")
     u, v = est.joint()
-    _correct(u[source_index], v[source_index], est.r1)
+    _correct(u[source_index : source_index + 1], v[source_index][None], est.r1)
     fixed = FactorEstimate.from_joint(u, v, est.r1)
     return replace(est, v_g=fixed.v_g, u_l=fixed.u_l)
 

@@ -162,7 +162,10 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"config file missing: {path}")
-    return parse_run_config(path.read_text())
+    try:
+        return parse_run_config(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
 
 
 def backend_params(backend: str, step_size: float, iterations: int, beta: float):

@@ -214,8 +214,7 @@ def kkt_residuals(est: FactorEstimate, matrices) -> KktResidualReport:
     u_g^T u_g = I, u_l^T u_l = I and u_l^T u_g = 0.
     """
     mats = [as_matrix(m) for m in matrices]
-    if len(mats) != est.n_sources:
-        raise DimensionError("estimate and data have different source counts")
+    est.check_fits([m.shape for m in mats], "kkt_residuals matrices")
     est = renormalize(est)
     r1, penalty = est.r1, _penalty(est.r1, est.r2)
     grads = [_terms(u, v, m, 0.0, penalty)[1:] for u, v, m in zip(*est.joint(), mats)]

@@ -14,10 +14,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, DimensionError
-from .numerics import as_matrix, as_stack, check_orthonormal, column_basis, linf, projector, sign_fixed_qr, truncated_svd
+from .numerics import (RANK_RTOL, as_matrix, as_stack, check_orthonormal, column_basis, linf, projector,
+                       sign_fixed_qr, truncated_svd)
 
 INCOHERENCE_ORTHO_TOL = 1e-8
-SIGMA_NONZERO_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,22 @@ class SparseParts:
                 raise ContractViolationError(f"source {i}: indices must strictly increase within [0, {size})")
 
     @classmethod
-    def from_dense(cls, mats) -> "SparseParts":
-        """The parts of an iterable of matrices, converted one at a time, so
-        a generator of them never holds two dense matrices at once."""
+    def from_dense(cls, mats, lam: float = 0.0) -> "SparseParts":
+        """The parts of an iterable of matrices, keeping the entries with
+        |m_ij| > lam (lam = 0 keeps the nonzeros; NaN is above no threshold).
+        Each matrix is released before the next is drawn, so a generator of
+        them never holds two dense matrices at once."""
         shapes, indices, values = [], [], []
         for m in mats:
             m = np.asarray(m, dtype=np.float64)
             if m.ndim != 2:
                 raise DimensionError(f"a sparse part must be a matrix, got ndim={m.ndim}")
-            idx = np.flatnonzero(m != 0.0)
+            # |m| > lam without a float temporary the size of m
+            idx = np.flatnonzero((m > lam) | (m < -lam))
             shapes.append(m.shape)
             indices.append(idx)
             values.append(m.take(idx))
+            del m
         return cls(tuple(shapes), tuple(indices), tuple(values))
 
     def __len__(self) -> int:
@@ -308,7 +312,7 @@ def measure_sparsity(s) -> float:
     """Smallest alpha such that every column of s has at most alpha*n1 nonzero
     entries and every row at most alpha*n2."""
     s = as_matrix(s)
-    return _sparsity(s.shape, np.flatnonzero(s != 0.0))
+    return _sparsity(s.shape, SparseParts.from_dense([s]).indices[0])
 
 
 def _sparsity(shape: tuple, idx: np.ndarray) -> float:
@@ -345,7 +349,7 @@ def measure_misalignment(u_l) -> float:
     if not len(u_l):
         raise DimensionError("need at least one local factor")
     avg = sum(map(projector, column_basis(u_l))) / len(u_l)
-    top = float(np.linalg.eigvalsh((avg + avg.T) / 2.0)[-1])
+    top = float(np.linalg.eigvalsh(avg)[-1])
     return min(max(1.0 - top, 0.0), 1.0)
 
 
@@ -375,7 +379,7 @@ def identifiability_report(gt: GroundTruth) -> IdentifiabilityReport:
         sigmas.append(core.sigma.ravel())
     sigmas = np.concatenate(sigmas)
     sigma_max = float(sigmas.max(initial=0.0))
-    nonzero = sigmas[sigmas > SIGMA_NONZERO_RTOL * max(sigma_max, 1.0)]
+    nonzero = sigmas[sigmas > RANK_RTOL * max(sigma_max, 1.0)]
     return IdentifiabilityReport(
         alpha=alpha,
         mu=max(mus),

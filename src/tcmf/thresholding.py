@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import IdentifiabilityReport, ObservationSet
+from .model import IdentifiabilityReport, ObservationSet, SparseParts
 from .numerics import as_matrix
 
 
@@ -33,18 +33,14 @@ class LambdaSchedule:
 
 
 def hard_threshold(x, lam: float) -> np.ndarray:
-    """Keep entries with |x_ij| strictly above lam, zero the rest.
+    """Keep entries with |x_ij| strictly above lam, zero the rest, in a new
+    C-ordered matrix: SparseParts.from_dense's support read back dense.
 
-    Entries exactly at the threshold map to zero.  Survivors keep their
+    Entries exactly at the threshold map to +0.0.  Survivors keep their
     value, so the operator is idempotent and never moves an entry by more
     than lam.
     """
-    return _threshold(as_matrix(x), lam)
-
-
-def _threshold(x: np.ndarray, lam: float) -> np.ndarray:
-    # hard_threshold without its input check, for residuals a loop has built
-    return np.where(np.abs(x) > lam, x, 0.0)
+    return SparseParts.from_dense([as_matrix(x)], lam)[0]
 
 
 def next_lambda(schedule: LambdaSchedule, lambda_t: float) -> float:

@@ -29,7 +29,6 @@ from tcmf import alternating, perpca
 from tcmf.errors import ConfigurationError, DivergenceError
 from tcmf.metrics import LOG_FLOOR
 from tcmf.numerics import linf
-from tcmf.thresholding import _threshold
 
 from conftest import orth
 
@@ -351,10 +350,10 @@ def _with_signed_zeros(a, rng):
 
 
 def test_support_form_gives_the_dense_threshold_bit_for_bit(uneven):
-    # the sparse part _split's support gives, read back dense, and the
-    # problem matrix of m less it, against the dense _threshold(r, lam) and
-    # m - _threshold(r, lam): values and signed zeros, and the problem
-    # matrix, which the solve's Gram stack reads, laid out like m
+    # the sparse part SparseParts.from_dense([r], lam) gives, read back dense,
+    # and the problem matrix of m less it, against the dense threshold
+    # np.where(|r| > lam, r, 0) and m less that: values and signed zeros, and
+    # the problem matrix, which the solve's Gram stack reads, laid out like m
     rng = np.random.default_rng(11)
     cases = []
     for m in uneven.mats:
@@ -370,11 +369,10 @@ def test_support_form_gives_the_dense_threshold_bit_for_bit(uneven):
     cases += [(m, r, float(np.max(np.abs(r)))), (m, r, 1e300), (m, away_from_zero, 0.5)]
     sizes = []
     for m, r, lam in cases:
-        idx, vals = alternating._split(r, lam)
-        sizes.append(idx.size)
-        parts = SparseParts((m.shape,), (idx,), (vals,))
+        parts = SparseParts.from_dense([r], lam)
+        sizes.append(parts.support_sizes[0])
         cleaned = ObservationSet([m], r1=0, r2=0).less(parts).problem_matrix(0)
-        want_s = _threshold(r, lam)
+        want_s = np.where(np.abs(r) > lam, r, 0.0)
         want_cleaned = m - want_s
         for got, want in ((parts[0], want_s), (cleaned, want_cleaned)):
             assert np.array_equal(got, want)
@@ -395,11 +393,11 @@ def test_run_builds_the_dense_sparse_part_only_where_it_is_read(monkeypatch, wit
     cfg = tiny_cfg(initial_lambda(obs, "theoretical", identifiability_report(gt)), epochs=4, rho=0.9,
                    params=HmfParams(step_size=5e-3, iterations=20, beta=1e-5))
     split_starts, solves = [], []
-    split, solve = alternating._split, alternating.solve
+    from_dense, solve = SparseParts.from_dense, alternating.solve
 
-    def timed_split(*args):
+    def timed_from_dense(mats, lam=0.0):
         split_starts.append(time.perf_counter())
-        return split(*args)
+        return from_dense(mats, lam)
 
     def timed_solve(problem, params, warm):
         est = solve(problem, params, warm)
@@ -415,10 +413,10 @@ def test_run_builds_the_dense_sparse_part_only_where_it_is_read(monkeypatch, wit
 
     monkeypatch.setattr(SparseParts, "__getitem__", counting_read)
     _, other, _ = run(obs, cfg, None if with_truth else gt)
-    monkeypatch.setattr(alternating, "_split", timed_split)
+    monkeypatch.setattr(SparseParts, "from_dense", timed_from_dense)
     monkeypatch.setattr(alternating, "solve", timed_solve)
     _, s_hat, traces = run(obs, cfg, gt if with_truth else None)
-    assert dense_reads == []
+    assert dense_reads == [] and len(split_starts) == len(traces)  # one threshold per epoch
     assert isinstance(s_hat, SparseParts) and s_hat.shapes == other.shapes
     for a, b in zip(s_hat.indices + s_hat.values, other.indices + other.values, strict=True):
         assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
@@ -427,9 +425,8 @@ def test_run_builds_the_dense_sparse_part_only_where_it_is_read(monkeypatch, wit
         want = hard_threshold(m - last_fit.reconstruction(i), traces[-1].lam)
         assert np.array_equal(s_hat[i], want)
         assert np.array_equal(solves[-1][0].problem_matrix(i), m - want)
-    n = obs.n_sources
     for epoch, t in enumerate(traces):
-        assert t.wall_ms / 1e3 >= solves[epoch][2] - split_starts[epoch * n]
+        assert t.wall_ms / 1e3 >= solves[epoch][2] - split_starts[epoch]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,11 +1,15 @@
 """End-to-end tests of the command line interface via main()."""
 
 import csv
+import shutil
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcmf import cli, io
 from tcmf.cli import (
@@ -297,6 +301,26 @@ class TestFailureExitCodes:
         assert err.startswith("configuration error: 3 x 10 x 10000000000000 ")
         assert not (tmp_path / "huge").exists()
 
+    @pytest.mark.parametrize("size", [{"n1": 10**20}, {"n2": 10**20}], ids=["n1", "n2"])
+    def test_synth_shape_numpy_cannot_hold_exits_64(self, tmp_path, capsys, size):
+        # a dimension beyond numpy's index range fails the first allocation
+        # that names it with a ValueError, before any entry is allocated
+        cfg = write_config(tmp_path / "huge.cfg", **size)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "huge")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"configuration error: 3 x {size.get('n1', 10)} x {size.get('n2', 24)} ")
+        assert not (tmp_path / "huge").exists()
+
+    def test_config_that_is_not_utf8_exits_64(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "bad.cfg")
+        cfg.write_bytes(cfg.read_bytes().replace(b"hmf", b"hm\xff"))
+        for args in (["synth", "--out", str(tmp_path / "a")],
+                     ["run", "--data", str(tmp_path), "--out", str(tmp_path / "trace.csv")]):
+            assert main([args[0], "--config", str(cfg), *args[1:]]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.count("not UTF-8 text") == 2
+        assert not (tmp_path / "a").exists() and not (tmp_path / "trace.csv").exists()
+
     def test_corrupted_matrix_exits_65(self, tmp_path):
         cfg, out = synth(tmp_path)
         path = out / "M_2.mat"
@@ -520,3 +544,64 @@ class TestMetrics:
     def test_metrics_before_run_exits_66(self, tmp_path):
         _, out = synth(tmp_path)
         assert main(["metrics", "--data", str(out)]) == EXIT_MISSING
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    # 2 sources of 4 x 6 with estimates: every matrix file the commands read
+    base = tmp_path_factory.mktemp("small")
+    cfg, out = synth(base, n_sources=2, n1=4, n2=6, r1=1, r2=1, noise_prob=0.1,
+                     epochs=2, inner_iterations=20)
+    assert main(["run", "--config", str(cfg), "--data", str(out), "--out", str(base / "trace.csv")]) == EXIT_OK
+    return cfg, out, sorted(p.relative_to(out) for p in out.rglob("*.mat"))
+
+
+HEADER_SHAPES = [(0, 0), (2**63, 0), (1, 2**61), (0, 6), (4, 0), (6, 4), (24, 1), (2, 12), (2**64 - 1, 2**64 - 1)]
+PAYLOAD_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 5e-324]
+
+
+@st.composite
+def mutations(draw):
+    # (file index, function of the file's bytes): a flipped byte, a
+    # truncation, extra bytes, another header shape, or a payload entry
+    # set to NaN, Inf, -0.0 or an extreme value
+    kind = draw(st.sampled_from(["flip", "truncate", "extend", "header", "payload"]))
+    pos, byte = draw(st.integers(0, 2**16)), draw(st.integers(1, 255))
+    extra = draw(st.binary(min_size=1, max_size=16))
+    shape = draw(st.sampled_from(HEADER_SHAPES))
+    value = draw(st.sampled_from(PAYLOAD_VALUES))
+
+    def mutate(blob):
+        blob = bytearray(blob)
+        if kind == "flip":
+            blob[pos % len(blob)] ^= byte
+        elif kind == "truncate":
+            del blob[pos % len(blob):]
+        elif kind == "extend":
+            blob += extra
+        elif kind == "header":
+            blob[:24] = io.MAGIC + struct.pack("<QQ", *shape)
+        else:
+            entries = (len(blob) - 24) // 8
+            if entries:
+                at = 24 + 8 * (pos % entries)
+                blob[at:at + 8] = struct.pack("<d", value)
+        return bytes(blob)
+
+    return draw(st.integers(0, 2**16)), mutate
+
+
+@given(mutation=mutations())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_mutated_matrix_files_end_in_an_exit_code(small_dataset, mutation):
+    # one matrix file of a small dataset with estimates mutated; check,
+    # metrics and run each end in a documented exit code, never an exception
+    cfg, base, files = small_dataset
+    which, mutate = mutation
+    with tempfile.TemporaryDirectory(dir=base.parent) as work:
+        data = shutil.copytree(base, f"{work}/data")
+        path = data / files[which % len(files)]
+        path.write_bytes(mutate(path.read_bytes()))
+        for args in (["check", "--data", str(data)], ["metrics", "--data", str(data)],
+                     ["run", "--config", str(cfg), "--data", str(data), "--out", f"{work}/trace.csv"]):
+            assert main(args) in {0, 1, 2, 64, 65, 66}

@@ -10,9 +10,10 @@ from tcmf import (
     hmf_gradients,
     hmf_objective,
     hmf_solve,
+    kkt_residuals,
     spectral_init,
 )
-from tcmf.errors import ConfigurationError, ContractViolationError, DivergenceError, SingularityError
+from tcmf.errors import ConfigurationError, ContractViolationError, DimensionError, DivergenceError, SingularityError
 from tcmf.jimf import ObjectiveTrace
 from tcmf.numerics import linf
 
@@ -33,6 +34,26 @@ def test_params_validation():
         for bad in (np.nan, np.inf):
             with pytest.raises(ConfigurationError, match=f"{field} must be nonnegative and finite"):
                 HmfParams(**{field: bad})
+
+
+@pytest.mark.parametrize("call", [
+    lambda gt, mats: hmf_objective(gt, mats[:-1], 1e-5),
+    lambda gt, mats: hmf_objective(gt, [m[:, :-1] for m in mats], 1e-5),
+    lambda gt, mats: kkt_residuals(gt, [m[:-1] for m in mats]),
+    lambda gt, mats: kkt_residuals(gt, mats[:-1]),
+    lambda gt, mats: hmf_gradients(gt, 5, mats[0], 1e-5),
+    lambda gt, mats: hmf_gradients(gt, -1, mats[0], 1e-5),
+    lambda gt, mats: hmf_gradients(gt, 1, mats[1][:, :-1], 1e-5),
+    lambda gt, mats: hmf_correct(gt, 7),
+    lambda gt, mats: hmf_correct(gt, -1),
+], ids=["objective_short", "objective_narrow", "kkt_short_rows", "kkt_short",
+        "gradients_index", "gradients_negative", "gradients_narrow", "correct_index", "correct_negative"])
+def test_first_order_api_rejects_data_that_does_not_fit(call):
+    # one matrix per source, of its shape, and a source index in range; a
+    # negative index is no source, not one counted from the end
+    gt = tcmf.generate(tcmf.SynthConfig(3, 10, 30, 2, 2, noise_prob=0.0, noise_magnitude=1.0, seed=0))
+    with pytest.raises(DimensionError):
+        call(gt, tcmf.assemble_observations(gt).matrices)
 
 
 def test_objective_zero_at_exact_factors(tiny):

@@ -20,6 +20,7 @@ from tcmf.io import (
     _HEADER,
     MAGIC,
     TRACE_HEADER,
+    RunConfig,
     count_sources,
     format_trace_csv,
     load_estimates,
@@ -193,6 +194,61 @@ def test_load_run_config(tmp_path):
     assert load_run_config(path) == parse_run_config(VALID_CONFIG)
     with pytest.raises(MissingInputError):
         load_run_config(tmp_path / "nope.cfg")
+
+
+config_values = st.one_of(st.text(max_size=12), st.integers().map(str), st.floats().map(repr))
+
+
+@st.composite
+def mutated_configs(draw):
+    # VALID_CONFIG after a few line edits: a key given another value, a line
+    # dropped, repeated or preceded by arbitrary text
+    lines = VALID_CONFIG.splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["value", "drop", "repeat", "insert"]))
+        if edit == "value":
+            lines[i] = f"{lines[i].partition('=')[0]}= {draw(config_values)}"
+        elif edit == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i] if edit == "repeat" else draw(st.text(max_size=30)))
+    return "\n".join(lines)
+
+
+@st.composite
+def mutated_config_bytes(draw):
+    # a mutated config, UTF-8 encoded, with a few bytes overwritten
+    blob = bytearray(draw(mutated_configs()).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        if blob:
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+@given(st.one_of(mutated_configs(), st.text()))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_parse_run_config_returns_a_config_or_a_configuration_error(text):
+    try:
+        rc = parse_run_config(text)
+    except ConfigurationError:
+        return
+    assert isinstance(rc, RunConfig)
+
+
+@given(blob=st.one_of(mutated_config_bytes(), st.binary(max_size=200)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_load_run_config_returns_a_config_or_a_configuration_error(tmp_path_factory, blob):
+    # bytes that are not UTF-8 text included
+    path = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+    path.write_bytes(blob)
+    try:
+        rc = load_run_config(path)
+    except ConfigurationError:
+        return
+    assert isinstance(rc, RunConfig)
 
 
 def make_dataset(tmp_path, n_sources=3, noise_prob=0.05):

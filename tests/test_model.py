@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from tcmf import (
     ThinSVD,
     assemble_observations,
     generate,
+    hard_threshold,
     hmf_correct,
     identifiability_report,
     measure_incoherence,
@@ -455,23 +457,47 @@ def dense_parts(draw):
     return mats
 
 
-@given(dense_parts())
+# thresholds on both sides of every entry of part_values, and the ones no
+# comparison passes (NaN) or every finite entry passes (-inf)
+thresholds = st.sampled_from([0.0, -0.0, 1.0, 1.5, 2.0, 1e300, -1.0, np.inf, -np.inf, np.nan])
+
+
+@given(dense_parts(), thresholds)
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_sparse_parts_round_trip_bit_for_bit(mats):
-    # dense -> support -> dense gives each matrix back bit for bit, in a new
-    # C-ordered array per read; -0.0 is zero, so it reads back as +0.0
-    parts = SparseParts.from_dense(mats)
+def test_sparse_parts_round_trip_bit_for_bit(mats, lam):
+    # dense -> support at lam -> dense gives np.where(|m| > lam, m, 0.0) bit
+    # for bit, signed zeros included, in a new C-ordered array per read, and
+    # so does hard_threshold; at lam = 0 that is each matrix, with -0.0
+    # read back as +0.0
+    parts = SparseParts.from_dense(mats, lam)
     assert len(parts) == len(mats)
-    assert parts.support_sizes == [int(np.count_nonzero(m)) for m in mats]
+    assert parts.support_sizes == [int(np.count_nonzero(np.abs(m) > lam)) for m in mats]
     for idx in parts.indices:
         assert np.all(np.diff(idx) > 0)
     for back, m in zip(parts, mats, strict=True):
-        assert back.shape == m.shape and back.dtype == np.float64 and back.flags.c_contiguous
-        want = np.where(m == 0.0, 0.0, m)
-        assert np.array_equal(back.view(np.uint64), want.view(np.uint64))
+        want = np.where(np.abs(m) > lam, m, 0.0)
+        for got in (back, hard_threshold(m, lam)):
+            assert got.shape == m.shape and got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     first = parts[0]
     first += 1.0
-    assert parts[0] is not first and np.array_equal(parts[0], np.where(mats[0] == 0.0, 0.0, mats[0]))
+    assert parts[0] is not first and np.array_equal(parts[0], np.where(np.abs(mats[0]) > lam, mats[0], 0.0))
+    if lam == 0.0:
+        assert parts.support_sizes == [int(np.count_nonzero(m)) for m in mats]
+
+
+def test_from_dense_holds_one_matrix_of_an_iterable_at_a_time():
+    # four sparse 1000 x 1000 matrices drawn from a map: each is released
+    # before the next is made, and the mask costs no float temporary
+    n = 1000
+    tracemalloc.start()
+    try:
+        parts = SparseParts.from_dense(map(functools.partial(np.eye, n, n), range(4)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parts.support_sizes == [n, n - 1, n - 2, n - 3]
+    assert peak < 1.5 * n * n * 8
 
 
 gram_values = st.sampled_from([0.0, -0.0, 1.5, -2.0, 5e-324, 1e150])
