@@ -34,7 +34,7 @@ from .model import (
     measure_misalignment,
     measure_sparsity,
 )
-from .numerics import ThinSVD, projection_onto, truncated_svd
+from .numerics import ThinSVD, truncated_svd
 from .perpca import PerpcaParams, perpca_solve
 from .thresholding import (
     LambdaSchedule,
@@ -81,7 +81,6 @@ __all__ = [
     "measure_sparsity",
     "next_lambda",
     "perpca_solve",
-    "projection_onto",
     "recovery_errors",
     "renormalize",
     "rpca_baseline",

@@ -23,8 +23,10 @@ from .errors import (
     MissingInputError,
     TcmfError,
 )
+from .hmf import HmfParams
 from .metrics import recovery_errors
 from .model import assemble_observations, generate, identifiability_report
+from .perpca import PerpcaParams
 from .thresholding import LambdaSchedule, initial_lambda
 
 EXIT_OK = 0
@@ -70,16 +72,18 @@ def cli_run(config_path, data_dir, trace_out) -> int:
     obs = io.load_observations(data_dir, rc.r1, rc.r2)
     _check_data_matches_config(rc, obs)
     gt = _ground_truth(data_dir, obs) if io.has_ground_truth(data_dir) else None
-    if rc.lambda1_mode == "theoretical":
-        if gt is None:
-            raise MissingInputError("theoretical lambda1 needs ground truth files")
-        lam1 = initial_lambda(obs, "theoretical", identifiability_report(gt))
+    theoretical = rc.lambda1_mode == "theoretical"
+    if theoretical and gt is None:
+        raise MissingInputError("theoretical lambda1 needs ground truth files")
+    lam1 = initial_lambda(obs, rc.lambda1_mode, identifiability_report(gt) if theoretical else None)
+    if rc.backend == "hmf":  # the params type picks the backend in jimf.solve
+        params = HmfParams(step_size=rc.step_size, iterations=rc.inner_iterations, beta=rc.beta)
     else:
-        lam1 = initial_lambda(obs, "data_driven")
+        params = PerpcaParams(step_size=rc.step_size, iterations=rc.inner_iterations)
     cfg = TcmfConfig(
         schedule=LambdaSchedule(lambda1=lam1, rho=rc.rho, epsilon=rc.epsilon),
         epochs=rc.epochs,
-        params=io.backend_params(rc.backend, rc.step_size, rc.inner_iterations, rc.beta),
+        params=params,
         warm_start_policy=rc.warm_start,
     )
     try:
@@ -194,9 +198,5 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-def _entry():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    _entry()
+    sys.exit(main())

@@ -17,11 +17,8 @@ import numpy as np
 
 from .alternating import WARM_START_POLICIES, EpochTrace
 from .errors import ConfigurationError, CorruptDataError, DimensionError, MissingInputError
-from .hmf import HmfParams
-from .jimf import BACKENDS
 from .model import FactorEstimate, GroundTruth, IdentifiabilityReport, ObservationSet, SparseParts, SynthConfig
 from .numerics import as_matrix
-from .perpca import PerpcaParams
 from .thresholding import LAMBDA1_MODES
 
 MAGIC = b"TCMFMAT1"
@@ -112,7 +109,7 @@ class RunConfig(SynthConfig):
 
 _CHOICE_KEYS = {
     "lambda1_mode": LAMBDA1_MODES,
-    "backend": BACKENDS,
+    "backend": ("hmf", "perpca"),
     "warm_start": WARM_START_POLICIES,
 }
 _EXPECTED = {int: "an integer", float: "a number"}
@@ -166,15 +163,6 @@ def load_run_config(path) -> RunConfig:
         return parse_run_config(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as err:
         raise ConfigurationError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
-
-
-def backend_params(backend: str, step_size: float, iterations: int, beta: float):
-    """The params object that selects backend in jimf.solve; only hmf reads beta."""
-    if backend == "hmf":
-        return HmfParams(step_size=step_size, iterations=iterations, beta=beta)
-    if backend == "perpca":
-        return PerpcaParams(step_size=step_size, iterations=iterations)
-    raise ConfigurationError(f"backend must be one of {BACKENDS}, got {backend!r}")
 
 
 # data directory layout -------------------------------------------------

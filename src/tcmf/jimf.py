@@ -23,9 +23,6 @@ DIVERGENCE_WINDOW = 50
 STOP_RTOL = 1e-10
 FLOOR_RTOL = 1e-12
 
-BACKENDS = ("hmf", "perpca")
-
-
 @dataclass(frozen=True)
 class KktResidualReport:
     """Frobenius norms of the stationarity blocks plus the worst
@@ -91,8 +88,8 @@ def spectral_init(obs: ObservationSet) -> FactorEstimate:
     vectors of the concatenation [M_1 ... M_N]); u_l[i] the top r2
     eigenvectors of P C_i P with P = I - u_g u_g^T (those of source i after
     projecting out u_g).  Columns are signed by truncated_svd's rule, and the
-    v factors are the coefficient matrices M_i^T u, read in one pass over
-    the sources.
+    v factors are the coefficient matrices M_i^T [u_g u_l[i]], one product
+    per source, split at column r1 as perpca_solve reads its own.
 
     Raises SingularityError when the data has numerical rank below r1: the
     singular values sigma_j = ||[M_1 ... M_N]^T u_g[:, j]|| (column norms of
@@ -103,15 +100,12 @@ def spectral_init(obs: ObservationSet) -> FactorEstimate:
     u_g = top_eigenvectors(grams.sum(axis=0), obs.r1)
     p = np.eye(u_g.shape[0]) - u_g @ u_g.T
     u_l = top_eigenvectors(p @ grams @ p, obs.r2)
-    v_g, v_l = [], []
-    for i, ul in enumerate(u_l):
-        m = obs.problem_matrix(i)
-        v_g.append(m.T @ u_g)
-        v_l.append(m.T @ ul)
-    sigma = np.linalg.norm(np.concatenate(v_g), axis=0)
+    u = np.concatenate((np.broadcast_to(u_g, u_l.shape[:-1] + (obs.r1,)), u_l), axis=-1)
+    est = FactorEstimate.from_joint(u, [obs.problem_matrix(i).T @ ui for i, ui in enumerate(u)], obs.r1)
+    sigma = np.linalg.norm(np.concatenate(est.v_g), axis=0)
     if obs.r1 > 0 and (sigma[0] == 0.0 or sigma[-1] <= RANK_RTOL * sigma[0]):
         raise SingularityError("concatenated data has numerical rank below r1")
-    return FactorEstimate(u_g=u_g, v_g=v_g, u_l=u_l, v_l=v_l)
+    return est
 
 
 def solve(obs: ObservationSet, params, warm_start: FactorEstimate | None = None) -> FactorEstimate:

@@ -13,9 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, DimensionError
-from .numerics import (RANK_RTOL, as_matrix, as_stack, check_orthonormal, column_basis, linf, projector,
-                       sign_fixed_qr, truncated_svd)
+from .errors import ConfigurationError, ContractViolationError, DimensionError, SingularityError
+from .numerics import RANK_RTOL, as_matrix, as_stack, check_orthonormal, linf, sign_fixed_qr, truncated_svd
 
 INCOHERENCE_ORTHO_TOL = 1e-8
 
@@ -344,11 +343,16 @@ def measure_misalignment(u_l) -> float:
     theta = 0 means some direction is shared by every local subspace; larger
     theta means the local subspaces point different ways, which is what lets
     the shared component be told apart from the local ones.  One SVD of the
-    stack gives the bases; their projectors are summed one at a time.
+    stack gives the orthonormal bases b_i; their projectors b_i b_i^T, each
+    exactly symmetric as computed, are summed one at a time.  Raises
+    SingularityError unless every u_l[i] has full column rank.
     """
     if not len(u_l):
         raise DimensionError("need at least one local factor")
-    avg = sum(map(projector, column_basis(u_l))) / len(u_l)
+    bases, s, _ = np.linalg.svd(as_stack(u_l), full_matrices=False)
+    if s.shape[-1] and np.any(s[..., -1] <= RANK_RTOL * s[..., 0]):
+        raise SingularityError("projection requires full column rank")
+    avg = sum(b @ b.T for b in bases) / len(u_l)
     top = float(np.linalg.eigvalsh(avg)[-1])
     return min(max(1.0 - top, 0.0), 1.0)
 

@@ -132,23 +132,3 @@ def _inv_cholesky(gram: np.ndarray) -> np.ndarray:
         pass
     finite = np.isfinite(gram).all()  # NaN or Inf always fails a test above
     raise SingularityError("basis lost column rank") if finite else ContractViolationError("Gram matrix is not finite")
-
-
-def projection_onto(u) -> np.ndarray:
-    """Orthogonal projector onto the column space of full-column-rank u, or of each stacked matrix."""
-    return projector(column_basis(u))
-
-
-def column_basis(u) -> np.ndarray:
-    """Left singular vectors (..., n, r) of u, an orthonormal basis of the column space of it or
-    of each stacked matrix; SingularityError unless every matrix has full column rank."""
-    q, s, _ = np.linalg.svd(as_stack(u), full_matrices=False)
-    if s.shape[-1] and np.any(s[..., -1] <= RANK_RTOL * s[..., 0]):
-        raise SingularityError("projection requires full column rank")
-    return q
-
-
-def projector(q) -> np.ndarray:
-    """q q^T, made exactly symmetric, for orthonormal columns q (..., n, r)."""
-    p = q @ np.swapaxes(q, -1, -2)
-    return (p + np.swapaxes(p, -1, -2)) / 2.0

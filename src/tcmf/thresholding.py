@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import IdentifiabilityReport, ObservationSet, SparseParts
-from .numerics import as_matrix
+from .numerics import as_matrix, linf
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def initial_lambda(obs: ObservationSet, mode: str, report: IdentifiabilityReport
         n2 = min(m.shape[1] for m in obs.matrices)
         lam = report.sigma_max * report.mu**2 * r / float(np.sqrt(obs.n1 * n2))
     elif mode == "data_driven":
-        lam = max((float(np.max(np.abs(m))) if m.size else 0.0) for m in obs.matrices)
+        lam = max(linf(m) for m in obs.matrices)
     else:
         raise ConfigurationError(f"unknown lambda mode {mode!r}")
     if lam <= 0.0:

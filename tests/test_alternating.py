@@ -24,6 +24,7 @@ from tcmf import (
     initial_lambda,
     rpca_baseline,
     run,
+    solve,
 )
 from tcmf import alternating, perpca
 from tcmf.errors import ConfigurationError, DivergenceError
@@ -61,6 +62,17 @@ def test_run_rejects_non_params_before_any_epoch(tiny, monkeypatch, params):
     with pytest.raises(ConfigurationError, match="HmfParams or PerpcaParams"):
         run(obs, tiny_cfg(lambda1=1.0, params=params))
     assert traces_seen == []
+
+
+@pytest.mark.parametrize("params", [HmfParams(), PerpcaParams()], ids=["hmf", "perpca"])
+def test_zero_row_sources_with_zero_ranks_solve_and_run(params):
+    # n1 = 0 leaves nothing to fit: perpca's step scale reads 0 rather than
+    # 1/sqrt(0), and every factor comes back empty
+    obs = ObservationSet(matrices=[np.zeros((0, 4)), np.zeros((0, 6))], r1=0, r2=0)
+    est = solve(obs, params)
+    assert est.u_l.shape == (2, 0, 0) and [v.shape for v in est.v_g + est.v_l] == [(4, 0), (6, 0)] * 2
+    est, s_hat, traces = run(obs, tiny_cfg(1.0, epochs=2, params=params))
+    assert s_hat.support_sizes == [0, 0] and len(traces) == 2
 
 
 def test_noiseless_first_epoch_thresholds_everything(tiny):

@@ -1,10 +1,14 @@
 """End-to-end tests of the command line interface via main()."""
 
 import csv
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from tcmf.cli import (
     EXIT_OK,
     main,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_CONFIG = {
     "n_sources": "3",
@@ -394,6 +400,14 @@ class TestFailureExitCodes:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == EXIT_BAD_CONFIG
+
+    def test_module_entry_point_without_a_command_exits_64(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "tcmf.cli"], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == EXIT_BAD_CONFIG
+        assert proc.stderr.startswith("usage: tcmf ")
 
     @pytest.mark.parametrize(
         "extra",

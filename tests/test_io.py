@@ -21,6 +21,7 @@ from tcmf.io import (
     MAGIC,
     TRACE_HEADER,
     RunConfig,
+    atomic_write,
     count_sources,
     format_trace_csv,
     load_estimates,
@@ -72,6 +73,15 @@ def test_matrix_round_trip_bit_exact(tmp_path_factory, m):
     assert np.array_equal(back, m, equal_nan=False)
     # bit-exact, including signed zeros and subnormals
     assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+
+
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "m.mat"
+    path.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        atomic_write(path, b"new", 3)  # the second payload is not a buffer
+    assert path.read_bytes() == b"old"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_read_matrix_rejects_bad_magic(tmp_path):

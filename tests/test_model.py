@@ -24,7 +24,6 @@ from tcmf import (
     measure_incoherence,
     measure_misalignment,
     measure_sparsity,
-    projection_onto,
     spectral_init,
     truncated_svd,
 )
@@ -274,6 +273,7 @@ def test_measure_misalignment_axes_and_identical():
     e2 = np.array([[0.0], [1.0]])
     assert measure_misalignment([e1, e2]) == pytest.approx(0.5)
     assert measure_misalignment([e1, e1, e1]) == pytest.approx(0.0, abs=1e-12)
+    assert measure_misalignment(np.zeros((3, 5, 0))) == 1.0  # no local direction is shared
 
 
 def test_measure_misalignment_range():
@@ -350,7 +350,8 @@ def test_identifiability_report_single_source_theta_zero():
 def per_source_report(gt):
     """The report as a loop over sources: per product, a QR of each factor,
     truncated_svd of the core, ThinSVD of the mapped factors and
-    measure_incoherence of each; theta from a sum of projection_onto."""
+    measure_incoherence of each; theta from the projectors b b^T of each
+    source's own SVD basis b."""
     mus, sigmas = [], []
     for i in range(gt.n_sources):
         for u, v in ((gt.u_g, gt.v_g[i]), (gt.u_l[i], gt.v_l[i])):
@@ -361,8 +362,9 @@ def per_source_report(gt):
             svd = ThinSVD(u=q_u @ core.u, sigma=core.sigma, v=q_v @ core.v)
             mus += [measure_incoherence(svd.u), measure_incoherence(svd.v)]
             sigmas += svd.sigma.tolist()
-    avg = sum(projection_onto(u) for u in gt.u_l) / gt.n_sources
-    theta = min(max(1.0 - float(np.linalg.eigvalsh((avg + avg.T) / 2.0)[-1]), 0.0), 1.0)
+    bases = [np.linalg.svd(u, full_matrices=False)[0] for u in gt.u_l]
+    avg = sum(b @ b.T for b in bases) / gt.n_sources
+    theta = min(max(1.0 - float(np.linalg.eigvalsh(avg)[-1]), 0.0), 1.0)
     sigma_max = max(sigmas, default=0.0)
     nonzero = [s for s in sigmas if s > 1e-12 * max(sigma_max, 1.0)]
     return IdentifiabilityReport(alpha=max(measure_sparsity(s) for s in gt.s), mu=max(mus, default=0.0),
@@ -571,6 +573,16 @@ def test_sparse_parts_check_their_supports(idx, vals, error):
     parts = SparseParts(((2, 3), (2, 0)), (np.array([0, 5]), np.array([], dtype=np.intp)),
                         (np.array([np.inf, np.nan]), np.array([])))
     assert parts.support_sizes == [2, 0]
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: SparseParts(((2, 3), (2, 3)), (np.array([0]),), (np.array([1.0]),)), "one shape"),
+    (lambda: ObservationSet(matrices=[], r1=0, r2=0), "at least one observation"),
+    (lambda: measure_misalignment([]), "at least one local factor"),
+], ids=["sparse_parts_counts_differ", "no_observations", "no_local_factors"])
+def test_empty_or_unmatched_source_lists_are_rejected(build, match):
+    with pytest.raises(DimensionError, match=match):
+        build()
 
 
 def test_ground_truth_holds_its_noise_as_supports():

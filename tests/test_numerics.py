@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from tcmf import FactorEstimate, ThinSVD, projection_onto, truncated_svd
+from tcmf import FactorEstimate, ThinSVD, measure_misalignment, truncated_svd
 from tcmf.errors import ContractViolationError, DimensionError, SingularityError
 from tcmf import hmf_correct, perpca
 from tcmf.numerics import _inv_cholesky, as_matrix, linf, sign_fixed_qr, top_eigenvectors
-
-from conftest import orth
 
 
 def test_as_matrix_rejects_nan_and_wrong_ndim():
@@ -119,35 +117,10 @@ def test_sign_fixed_qr_stack_matches_slices_bitwise():
     assert sign_fixed_qr(np.zeros((4, 9, 0)))[0].shape == (4, 9, 0)
 
 
-def test_projection_onto_axis_vector():
-    p = projection_onto(np.array([[1.0], [0.0], [0.0]]))
-    assert np.allclose(p, np.diag([1.0, 0.0, 0.0]))
-
-
-def test_projection_onto_orthonormal_is_uut():
-    rng = np.random.default_rng(3)
-    u = orth(rng.standard_normal((6, 2)))
-    assert np.allclose(projection_onto(u), u @ u.T, atol=1e-12)
-
-
-def test_projection_onto_ones_column():
-    p = projection_onto(np.array([[1.0], [1.0]]))
-    assert np.allclose(p, np.full((2, 2), 0.5))
-
-
-def test_projection_properties():
-    rng = np.random.default_rng(4)
-    u = rng.standard_normal((8, 3))
-    p = projection_onto(u)
-    assert np.allclose(p, p.T, atol=1e-10)
-    assert np.allclose(p @ p, p, atol=1e-10)
-    assert np.allclose(p @ u, u, atol=1e-10)
-
-
 def test_projection_rank_deficient_rejected():
-    u = np.ones((4, 2))  # two identical columns
-    with pytest.raises(SingularityError):
-        projection_onto(u)
+    u = np.ones((1, 4, 2))  # a stack of one basis with two identical columns
+    with pytest.raises(SingularityError, match="full column rank"):
+        measure_misalignment(u)
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
@@ -209,16 +182,6 @@ def test_truncated_svd_stack_matches_slices_bitwise():
     assert truncated_svd(stack, 0).u.shape == (5, 4, 0)
 
 
-def test_projection_onto_stack_matches_slices_bitwise():
-    rng = np.random.default_rng(15)
-    stack = rng.standard_normal((4, 7, 2))
-    p = projection_onto(stack)
-    assert p.shape == (4, 7, 7)
-    for i in range(4):
-        assert np.array_equal(p[i], projection_onto(stack[i]))
-    assert np.array_equal(projection_onto(np.zeros((3, 5, 0))), np.zeros((3, 5, 5)))
-
-
 def test_stacks_with_one_bad_slice_still_raise():
     rng = np.random.default_rng(16)
     stack = rng.standard_normal((3, 6, 2))
@@ -226,13 +189,13 @@ def test_stacks_with_one_bad_slice_still_raise():
         truncated_svd(stack, 3)
     bad = stack.copy()
     bad[1, 2, 0] = np.nan
-    for f in (lambda a: truncated_svd(a, 1), projection_onto):
+    for f in (lambda a: truncated_svd(a, 1), measure_misalignment):
         with pytest.raises(ContractViolationError):
             f(bad)
     bad = stack.copy()
     bad[2, :, 1] = 2.0 * bad[2, :, 0]  # rank-deficient last slice
     with pytest.raises(SingularityError):
-        projection_onto(bad)
+        measure_misalignment(bad)
 
 
 def test_thinsvd_validates_every_slice_of_a_stack():
